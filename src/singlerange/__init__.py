@@ -45,10 +45,8 @@ from singlerange.estimators import (
     CovarianceError,
     DerivedOutput,
     FilterState,
-    LtiSystem8,
     derived_output,
-    kf_current_step,
-    kf_free_step,
+    kf_step,
     output_row_current,
     reanchor,
     run_current_filter,

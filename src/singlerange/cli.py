@@ -32,6 +32,7 @@ from singlerange.estimators import (
     run_free_filter,
 )
 from singlerange.observability import (
+    default_rank_tol,
     g11_condition,
     gramian_current,
     gramian_free,
@@ -55,8 +56,8 @@ EXIT_NUMERICAL = 4
 def _propagate(cfg, seed=None):
     scenario = cfg.scenario(seed=seed)
     if cfg.mode == "free":
-        return propagate_free(scenario), scenario
-    return propagate_current(scenario), scenario
+        return propagate_free(scenario)
+    return propagate_current(scenario)
 
 
 def _manifest(cfg, seed, artifacts, t_start):
@@ -73,7 +74,7 @@ def _simulate_one(config_path, out_dir, seed_override):
     t_start = time.time()
     cfg = load_config(config_path)
     seed = cfg.seed if seed_override is None else seed_override
-    trace, _ = _propagate(cfg, seed=seed)
+    trace = _propagate(cfg, seed=seed)
     stem = Path(config_path).stem
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -132,9 +133,9 @@ def cmd_observability(args):
         ratio = off / diag.min() if diag.min() > 0 else np.inf
         sv = np.linalg.svd(ii.values, compute_uv=False)
         cond_h = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-        rank_h = int(np.sum(sv > (args.rank_tol if args.rank_tol is not None
-                                  else len(ii.values) * np.finfo(float).eps
-                                  * max(sv[0], 0.0))))
+        tol_h = (default_rank_tol(sv, len(ii.values))
+                 if args.rank_tol is None else args.rank_tol)
+        rank_h = int(np.sum(sv > tol_h))
         print(f"regression matrix H ({len(ii.values)}x3): rank {rank_h}/3")
         print("  singular values: " + " ".join(f"{v:.6e}" for v in sv))
         print(f"  condition number: {cond_h:.6e}")
@@ -191,13 +192,16 @@ def _estimate_one(config_path, out_dir, seed_override, trace_path,
     seed = cfg.seed if seed_override is None else seed_override
     if trace_path:
         trace = read_trace_csv(trace_path)
+        if abs(trace.ts - cfg.ts) > 1e-9 * cfg.ts:
+            raise ConfigError(
+                "ts", f"config has {cfg.ts!r}, trace has {float(trace.ts)!r}")
         if len(trace.y) != cfg.steps + 1:
             raise ConfigError(
                 "steps",
                 f"config expects {cfg.steps + 1} samples, "
                 f"trace has {len(trace.y)}")
     else:
-        trace, _ = _propagate(cfg, seed=seed)
+        trace = _propagate(cfg, seed=seed)
     run = _run_filter(cfg, trace, reanchor_every=reanchor_every,
                       joseph=joseph)
     stem = Path(config_path).stem
@@ -236,7 +240,7 @@ def cmd_reproduce(args):
     cfg = (builtin_free_config() if args.experiment == "free"
            else builtin_current_config())
     seed = cfg.seed if args.seed is None else args.seed
-    trace, _ = _propagate(cfg, seed=seed)
+    trace = _propagate(cfg, seed=seed)
     run = _run_filter(cfg, trace, reanchor_every=args.reanchor_every,
                       joseph=args.joseph_update)
     out = Path(args.out)

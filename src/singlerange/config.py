@@ -35,7 +35,7 @@ Validation errors name the offending field ("ts: required").
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -258,6 +258,46 @@ def _parse_filter(raw, mode):
 
 
 @dataclass(frozen=True)
+class NoiseConfig:
+    """Measurement and state noise; fields as in truthsim.NoiseSpec."""
+
+    output_var: float = 0.0
+    apply_to: str = "squared_range"
+    state_var: tuple = (0.0, 0.0, 0.0)
+    inject_state_noise: bool = False
+
+
+def _parse_noise(raw):
+    raw = _section(raw, "noise")
+    _reject_unknown(raw, {"output_var", "apply_to", "state_var",
+                          "inject_state_noise"}, "noise.")
+    noise = NoiseConfig()
+    var = _number(raw.get("output_var", noise.output_var), "noise.output_var")
+    if var < 0:
+        raise ConfigError("noise.output_var", "must be >= 0")
+    apply_to = raw.get("apply_to", noise.apply_to)
+    if apply_to not in ("squared_range", "range"):
+        raise ConfigError(
+            "noise.apply_to",
+            f"expected 'squared_range' or 'range', got {apply_to!r}")
+    return NoiseConfig(
+        output_var=var,
+        apply_to=apply_to,
+        state_var=_vec(raw.get("state_var", noise.state_var),
+                       "noise.state_var"),
+        inject_state_noise=_boolean(
+            raw.get("inject_state_noise", noise.inject_state_noise),
+            "noise.inject_state_noise"),
+    )
+
+
+def _plain(section):
+    """Dataclass section as a plain dict: tuples as lists, None dropped."""
+    return {k: (list(v) if isinstance(v, tuple) else v)
+            for k, v in asdict(section).items() if v is not None}
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Complete, validated scenario plus optional filter settings."""
 
@@ -269,19 +309,8 @@ class RunConfig:
     seed: int = 0
     s: tuple = (0.0, 0.0, 0.0)
     v_f: tuple = (0.0, 0.0, 0.0)
-    noise_output_var: float = 0.0
-    noise_apply_to: str = "squared_range"
-    noise_state_var: tuple = (0.0, 0.0, 0.0)
-    noise_inject_state: bool = False
+    noise: NoiseConfig = NoiseConfig()
     filter: Optional[FilterConfig] = None
-
-    def noise_spec(self):
-        return NoiseSpec(
-            output_var=self.noise_output_var,
-            apply_to=self.noise_apply_to,
-            state_var=np.array(self.noise_state_var),
-            inject_state_noise=self.noise_inject_state,
-        )
 
     def scenario(self, seed=None):
         """Build the runtime ScenarioConfig (input sampled on the grid)."""
@@ -290,7 +319,7 @@ class RunConfig:
             ts=self.ts,
             steps=self.steps,
             input=self.input.make_signal(self.ts, self.steps),
-            noise=self.noise_spec(),
+            noise=NoiseSpec(**asdict(self.noise)),
             seed=self.seed if seed is None else seed,
             s=np.array(self.s),
             v_f=np.array(self.v_f),
@@ -306,22 +335,11 @@ class RunConfig:
             "x0": list(self.x0),
             "s": list(self.s),
             "v_f": list(self.v_f),
-            "input": {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in asdict(self.input).items() if v is not None
-            },
-            "noise": {
-                "output_var": self.noise_output_var,
-                "apply_to": self.noise_apply_to,
-                "state_var": list(self.noise_state_var),
-                "inject_state_noise": self.noise_inject_state,
-            },
+            "input": _plain(self.input),
+            "noise": _plain(self.noise),
         }
         if self.filter is not None:
-            out["filter"] = {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in asdict(self.filter).items()
-            }
+            out["filter"] = _plain(self.filter)
         return out
 
 
@@ -347,35 +365,14 @@ def parse_config(raw):
     if mode == "free" and any(v != 0.0 for v in v_f):
         raise ConfigError("v_f", "must be zero in free mode")
     input_cfg = _parse_input(_require(raw, "input"))
-    noise_kwargs = {}
+    noise = NoiseConfig()
     if raw.get("noise") is not None:
-        noise = _section(raw["noise"], "noise")
-        _reject_unknown(noise, {"output_var", "apply_to", "state_var",
-                                "inject_state_noise"}, "noise.")
-        if "output_var" in noise:
-            var = _number(noise["output_var"], "noise.output_var")
-            if var < 0:
-                raise ConfigError("noise.output_var", "must be >= 0")
-            noise_kwargs["noise_output_var"] = var
-        if "apply_to" in noise:
-            apply_to = noise["apply_to"]
-            if apply_to not in ("squared_range", "range"):
-                raise ConfigError(
-                    "noise.apply_to",
-                    f"expected 'squared_range' or 'range', got {apply_to!r}")
-            noise_kwargs["noise_apply_to"] = apply_to
-        if "state_var" in noise:
-            noise_kwargs["noise_state_var"] = _vec(noise["state_var"],
-                                                   "noise.state_var")
-        if "inject_state_noise" in noise:
-            noise_kwargs["noise_inject_state"] = _boolean(
-                noise["inject_state_noise"], "noise.inject_state_noise")
+        noise = _parse_noise(raw["noise"])
     filter_cfg = None
     if raw.get("filter") is not None:
         filter_cfg = _parse_filter(raw["filter"], mode)
     return RunConfig(mode=mode, ts=ts, steps=steps, seed=seed, x0=x0, s=s,
-                     v_f=v_f, input=input_cfg, filter=filter_cfg,
-                     **noise_kwargs)
+                     v_f=v_f, input=input_cfg, noise=noise, filter=filter_cfg)
 
 
 def load_config(path):

@@ -1,4 +1,4 @@
-"""Derived linear outputs and the two range-only Kalman filters.
+"""Derived linear outputs and the range-only Kalman filter of both models.
 
 The squared-range measurement y is never filtered directly. Combining it
 with its value at an anchor instant and the running input integral gives a
@@ -11,12 +11,14 @@ scalar that is exactly linear in the state:
 * unknown constant current ("current"):
       ybar = y - y0 + ||I||^2  =  [-2 I^T, -2t, t^2, 0] z(t)
 
-with I and t measured from the anchor. The 3-state filter uses the
-"free_xt" form; the 8-state filter uses "current" on the augmented state
-z = (r, r0.v_f, ||v_f||^2, v_f). Both filters use the information-form
-gain K = (P^-1 + C^T R^-1 C)^-1 C^T R^-1 evaluated via Cholesky; loss of
-positive definiteness raises instead of being silently regularized, and a
-Joseph-form update is available for ill-conditioned runs.
+with I and t measured from the anchor. Each model is an LTI state equation
+x <- F x + G u with this LTV scalar output, so one filter loop and one
+predict/update (kf_step) serve both; run_free_filter (F = G = I,
+"free_xt") and run_current_filter (F = exp(A ts), G = ts B, "current" on
+z = (r, r0.v_f, ||v_f||^2, v_f)) only build their models. The update uses
+the information-form gain K = (P^-1 + C^T R^-1 C)^-1 C^T R^-1 evaluated
+via Cholesky; loss of positive definiteness raises instead of being
+silently regularized, and a Joseph-form update is available.
 
 Because every ybar form is an exact identity at any anchor, the anchor
 measurement y0 can be replaced mid-run ("re-anchoring") to shed the
@@ -24,12 +26,12 @@ influence of an early outlier while the state estimate keeps its own
 update dynamics.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from singlerange.observability import drift_matrices, output_row_current
+from singlerange.observability import drift_matrices, exp_At, output_row_current
 
 SYMMETRY_TOL = 1e-10
 
@@ -114,22 +116,6 @@ class FilterState:
         object.__setattr__(self, "P", P)
 
 
-@dataclass(frozen=True)
-class LtiSystem8:
-    """Augmented 8-state constant-current model and its discretization."""
-
-    ts: float
-    A: np.ndarray
-    B: np.ndarray
-    Ad: np.ndarray   # I + ts*A, determinant 1 (A nilpotent)
-    Bd: np.ndarray   # ts*B
-
-    @classmethod
-    def build(cls, ts):
-        A, B = drift_matrices()
-        return cls(ts=ts, A=A, B=B, Ad=np.eye(8) + ts * A, Bd=ts * B)
-
-
 def _as_cov(q, d):
     q = np.asarray(q, dtype=float)
     if q.ndim == 0:
@@ -179,32 +165,19 @@ def _information_update(P, c, r, step, joseph):
     return K, 0.5 * (post + post.T)
 
 
-def kf_free_step(state, v_k, i_next, ybar_next, q, r, joseph_update=False):
-    """One predict/update cycle of the 3-state drift-free filter.
+def kf_step(state, F, gu, c, ybar, q, r, joseph_update=False):
+    """One predict/update cycle of the linear filter shared by both models.
 
-    Prediction adds the known position increment v_k and inflates the
-    covariance by Q; the update uses the anchored integral i_next as the
-    measurement row for the derived output ybar_next.
+    Predicts x <- F x + gu and P <- F P F^T + q (q the d x d process-noise
+    covariance), then updates with the scalar output ybar = c x. Returns
+    the posterior FilterState and the innovation ybar - c x_pred.
     """
-    q = _as_cov(q, 3)
-    x_pred = state.xhat + np.asarray(v_k, dtype=float)
-    p_pred = _check_symmetry(state.P + q, state.k + 1)
-    c = np.asarray(i_next, dtype=float)
-    K, p_post = _information_update(p_pred, c, r, state.k + 1, joseph_update)
-    x_post = x_pred + K * (ybar_next - c @ x_pred)
-    return FilterState(x_post, p_post, state.k + 1)
-
-
-def kf_current_step(state, sys, v_r_k, c_next, ybar_next, q, r,
-                    joseph_update=False):
-    """One predict/update cycle of the 8-state constant-current filter."""
-    q = _as_cov(q, 8)
-    z_pred = sys.Ad @ state.xhat + sys.Bd @ np.asarray(v_r_k, dtype=float)
-    p_pred = _check_symmetry(sys.Ad @ state.P @ sys.Ad.T + q, state.k + 1)
-    c = np.asarray(c_next, dtype=float)
-    K, p_post = _information_update(p_pred, c, r, state.k + 1, joseph_update)
-    z_post = z_pred + K * (ybar_next - c @ z_pred)
-    return FilterState(z_post, p_post, state.k + 1)
+    step = state.k + 1
+    x_pred = F @ state.xhat + gu
+    p_pred = _check_symmetry(F @ state.P @ F.T + q, step)
+    K, p_post = _information_update(p_pred, c, r, step, joseph_update)
+    innovation = ybar - c @ x_pred
+    return FilterState(x_pred + K * innovation, p_post, step), innovation
 
 
 def reanchor(anchor, y_new, t_new, i_raw_new, state=None):
@@ -270,36 +243,50 @@ class FilterRun:
     vf_err: np.ndarray = None         # ||vf estimate - true vf||
 
 
-def run_free_filter(trace, integral, x0_hat, p0, q, r, *,
-                    joseph_update=False, reanchor_every=0):
-    """Run the 3-state filter over a measured drift-free trace."""
+def _run_filter(mode, output_mode, trace, integral, F, G, u, z0, p0, q, r,
+                position, joseph_update, reanchor_every):
+    """The recursion both filters share; u[k] drives the step to k + 1.
+
+    position maps the (n+1, d) state estimates to (n+1, 3) positions.
+    """
     y, t, ii = trace.y, trace.times, integral.values
     n = len(y) - 1
-    state = FilterState(np.asarray(x0_hat, dtype=float), _as_cov(p0, 3), 0)
-    anchor = DerivedOutput("free_xt", y[0], t[0], ii[0])
-    est = np.zeros((n + 1, 3))
-    err = np.zeros(n + 1)
+    d = len(z0)
+    q = _as_cov(q, d)
+    gu = u @ G.T
+    state = FilterState(z0, _as_cov(p0, d), 0)
+    anchor = DerivedOutput(output_mode, y[0], t[0], ii[0])
+    est = np.zeros((n + 1, d))
     tr_p = np.zeros(n + 1)
     innov = np.zeros(n + 1)
     est[0] = state.xhat
-    err[0] = np.linalg.norm(state.xhat - trace.x[0])
     tr_p[0] = np.trace(state.P)
-    for k in range(n):
-        v = ii[k + 1] - ii[k]
-        row = anchor.row(ii[k + 1], t[k + 1])
-        ybar = anchor.value(y[k + 1], ii[k + 1], t[k + 1])
-        innov[k + 1] = ybar - row @ (state.xhat + v)
-        state = kf_free_step(state, v, row, ybar, q, r,
-                             joseph_update=joseph_update)
-        est[k + 1] = state.xhat
-        err[k + 1] = np.linalg.norm(state.xhat - trace.x[k + 1])
-        tr_p[k + 1] = np.trace(state.P)
-        if reanchor_every and (k + 1) % reanchor_every == 0:
-            anchor, state = reanchor(anchor, y[k + 1], t[k + 1], ii[k + 1],
-                                     state)
+    for k in range(1, n + 1):
+        c = anchor.row(ii[k], t[k])
+        ybar = anchor.value(y[k], ii[k], t[k])
+        state, innov[k] = kf_step(state, F, gu[k - 1], c, ybar, q, r,
+                                  joseph_update)
+        est[k] = state.xhat
+        tr_p[k] = np.trace(state.P)
+        if reanchor_every and k % reanchor_every == 0:
+            anchor, state = reanchor(anchor, y[k], t[k], ii[k], state)
+    pos = position(est)
+    # One norm per row: norm(..., axis=1) can differ in the last bit.
+    err = np.array([np.linalg.norm(e) for e in pos - trace.x])
     return FilterRun(
-        mode="free", t=t, state_estimates=est, pos_estimates=est,
+        mode=mode, t=t, state_estimates=est, pos_estimates=pos,
         err_norm=err, trace_p=tr_p, innovations=innov, final_state=state,
+    )
+
+
+def run_free_filter(trace, integral, x0_hat, p0, q, r, *,
+                    joseph_update=False, reanchor_every=0):
+    """Run the 3-state filter over a measured drift-free trace."""
+    eye = np.eye(3)
+    return _run_filter(
+        "free", "free_xt", trace, integral, eye, eye,
+        np.diff(integral.values, axis=0), np.asarray(x0_hat, dtype=float),
+        p0, q, r, lambda est: est, joseph_update, reanchor_every,
     )
 
 
@@ -312,46 +299,19 @@ def run_current_filter(trace, integral, x0_hat, vf_hat, p0, q, r, s, *,
     filled in consistently from those guesses.
     """
     s = np.asarray(s, dtype=float)
-    y, t, ii = trace.y, trace.times, integral.values
-    n = len(y) - 1
-    sys = LtiSystem8.build(trace.ts)
+    ts = trace.ts
     r0_hat = s - np.asarray(x0_hat, dtype=float)
     vf_hat = np.asarray(vf_hat, dtype=float)
     z0 = np.concatenate([r0_hat, [r0_hat @ vf_hat], [vf_hat @ vf_hat], vf_hat])
-    state = FilterState(z0, _as_cov(p0, 8), 0)
-    anchor = DerivedOutput("current", y[0], t[0], ii[0])
-    est = np.zeros((n + 1, 8))
-    pos = np.zeros((n + 1, 3))
-    err = np.zeros(n + 1)
-    tr_p = np.zeros(n + 1)
-    innov = np.zeros(n + 1)
-    vf_est = np.zeros((n + 1, 3))
-    est[0] = state.xhat
-    pos[0] = s - state.xhat[0:3]
-    err[0] = np.linalg.norm(pos[0] - trace.x[0])
-    tr_p[0] = np.trace(state.P)
-    vf_est[0] = state.xhat[5:8]
-    for k in range(n):
-        v_r = (ii[k + 1] - ii[k]) / trace.ts
-        row = anchor.row(ii[k + 1], t[k + 1])
-        ybar = anchor.value(y[k + 1], ii[k + 1], t[k + 1])
-        innov[k + 1] = ybar - row @ (sys.Ad @ state.xhat + sys.Bd @ v_r)
-        state = kf_current_step(state, sys, v_r, row, ybar, q, r,
-                                joseph_update=joseph_update)
-        est[k + 1] = state.xhat
-        pos[k + 1] = s - state.xhat[0:3]
-        err[k + 1] = np.linalg.norm(pos[k + 1] - trace.x[k + 1])
-        tr_p[k + 1] = np.trace(state.P)
-        vf_est[k + 1] = state.xhat[5:8]
-        if reanchor_every and (k + 1) % reanchor_every == 0:
-            anchor, state = reanchor(anchor, y[k + 1], t[k + 1], ii[k + 1],
-                                     state)
+    _, B = drift_matrices()
+    run = _run_filter(
+        "current", "current", trace, integral, exp_At(ts), ts * B,
+        np.diff(integral.values, axis=0) / ts, z0, p0, q, r,
+        lambda est: s - est[:, 0:3], joseph_update, reanchor_every,
+    )
+    vf_est = run.state_estimates[:, 5:8]
     vf_err = None
     if v_f_true is not None:
         vf_err = np.linalg.norm(vf_est - np.asarray(v_f_true, dtype=float),
                                 axis=1)
-    return FilterRun(
-        mode="current", t=t, state_estimates=est, pos_estimates=pos,
-        err_norm=err, trace_p=tr_p, innovations=innov, final_state=state,
-        vf_estimates=vf_est, vf_err=vf_err,
-    )
+    return replace(run, vf_estimates=vf_est, vf_err=vf_err)

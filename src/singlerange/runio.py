@@ -50,8 +50,10 @@ def read_trace_csv(path):
     with open(path) as fh:
         header = fh.readline().strip()
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    t = data[:, 1]
-    ts = t[1] - t[0] if len(t) > 1 else 1.0
+    if len(data) < 2:
+        raise ValueError(
+            f"{path}: {len(data)} data rows; at least 2 are needed for ts")
+    ts = data[1, 1] - data[0, 1]
     if header == TRACE_HEADER_FREE:
         return TruthTrace(ts=ts, x=data[:, 2:5], y_clean=data[:, 5],
                           y=data[:, 6])

@@ -78,11 +78,6 @@ class SinusoidInput:
         return (self.amplitudes * self.harmonics * self.omega) * np.cos(phase)
 
 
-def eval_sinusoid(s, t):
-    """Functional form of SinusoidInput evaluation."""
-    return s(t)
-
-
 def literature_profile(t):
     """Benchmark velocity profile (2 cos t, -4 sin 2t, cos(t/2)) m/s."""
     t = np.asarray(t, dtype=float)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlerange.cli import main
 from singlerange.config import (
@@ -74,6 +76,39 @@ class TestConfigValidation:
             again = parse_config(yaml.safe_load(dump_config(cfg)))
             assert again == cfg
             assert config_hash(again) == config_hash(cfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_noise_and_filter_sections_round_trip(self, data):
+        base = data.draw(st.sampled_from([builtin_free_config,
+                                          builtin_current_config]))()
+        dim = 3 if base.mode == "free" else 8
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        nonneg = st.floats(min_value=0.0, allow_nan=False,
+                           allow_infinity=False)
+        vec = lambda elems, n: st.lists(elems, min_size=n, max_size=n)
+        raw = base.to_dict()
+        raw["noise"] = data.draw(st.fixed_dictionaries({}, optional={
+            "output_var": nonneg,
+            "apply_to": st.sampled_from(["squared_range", "range"]),
+            "state_var": vec(finite, 3),
+            "inject_state_noise": st.booleans(),
+        }))
+        raw["filter"] = data.draw(st.fixed_dictionaries({
+            "x0_hat": vec(finite, 3),
+            "p0_diag": vec(finite, dim),
+            "q_diag": vec(finite, dim),
+            "r": st.floats(min_value=0.0, exclude_min=True,
+                           allow_nan=False) | st.just(math.inf),
+        }, optional={
+            "vf_hat": vec(finite, 3),
+            "joseph_update": st.booleans(),
+            "reanchor_every": st.integers(min_value=0, max_value=10**6),
+        }))
+        cfg = parse_config(raw)
+        again = parse_config(yaml.safe_load(dump_config(cfg)))
+        assert again == cfg
+        assert config_hash(again) == config_hash(cfg)
 
     def test_n0_alternative_for_omega(self):
         raw = minimal_free()
@@ -256,6 +291,42 @@ class TestCliEstimate:
         main(["estimate", "--config", str(path), "--out", str(tmp_path)])
         header = (tmp_path / "scenario_estimate.csv").read_text().splitlines()[0]
         assert header == "k,t,xhat1,xhat2,xhat3,err_norm,trace_P"
+
+    def test_trace_with_other_ts_rejected(self, tmp_path, capsys):
+        raw = minimal_free(seed=3, steps=200)
+        raw["filter"] = {
+            "x0_hat": [125.0, 125.0, 125.0],
+            "p0_diag": [1e4, 1e4, 1e4],
+            "q_diag": [1e-4, 1e-4, 1e-4],
+            "r": 1.0,
+        }
+        path = write_config(tmp_path, raw)
+        other = write_config(tmp_path, {**raw, "ts": 0.02}, "other.yaml")
+        assert main(["simulate", "--config", str(other),
+                     "--out", str(tmp_path)]) == 0
+        code = main(["estimate", "--config", str(path),
+                     "--trace", str(tmp_path / "other_trace.csv"),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "ts: config has 0.01, trace has 0.02" in capsys.readouterr().err
+
+    def test_one_row_trace_rejected(self, tmp_path, capsys):
+        trace = tmp_path / "short_trace.csv"
+        trace.write_text("k,t,x1,x2,x3,y_clean,y\n0,0.0,1.0,1.0,1.0,3.0,3.0\n")
+        with pytest.raises(ValueError, match="1 data rows"):
+            read_trace_csv(trace)
+        raw = minimal_free(steps=1)
+        raw["filter"] = {
+            "x0_hat": [1.0, 1.0, 1.0],
+            "p0_diag": [1.0, 1.0, 1.0],
+            "q_diag": [0.0, 0.0, 0.0],
+            "r": 1.0,
+        }
+        path = write_config(tmp_path, raw)
+        code = main(["estimate", "--config", str(path), "--trace", str(trace),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "at least 2" in capsys.readouterr().err
 
     def test_filter_section_required(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_free())

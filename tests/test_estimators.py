@@ -6,17 +6,16 @@ from singlerange.estimators import (
     CovarianceError,
     DerivedOutput,
     FilterState,
-    LtiSystem8,
     derived_output,
-    kf_current_step,
-    kf_free_step,
+    kf_step,
     output_row_current,
     reanchor,
     run_current_filter,
     run_free_filter,
     truth_z,
 )
-from singlerange.observability import exp_At
+from singlerange.config import builtin_current_config, builtin_free_config
+from singlerange.observability import drift_matrices, exp_At
 from singlerange.signals import SampledSignal, SinusoidInput, integrate
 from singlerange.truthsim import (
     ScenarioConfig,
@@ -96,19 +95,20 @@ class TestOutputRowCurrent:
 
 
 class TestKfFreeStep:
+    # the drift-free model: F = G = I, input the integral increment v
     def test_infinite_r_keeps_prediction(self):
         state = FilterState(np.array([1.0, 2.0, 3.0]), np.eye(3), 0)
         v = np.array([0.1, 0.0, -0.1])
-        nxt = kf_free_step(state, v, np.array([1.0, 1.0, 1.0]), 5.0,
-                           np.zeros(3), np.inf)
+        nxt, _ = kf_step(state, np.eye(3), v, np.array([1.0, 1.0, 1.0]), 5.0,
+                         np.zeros((3, 3)), np.inf)
         assert np.allclose(nxt.xhat, state.xhat + v)
         assert np.array_equal(nxt.P, state.P)
         assert nxt.k == 1
 
     def test_zero_row_keeps_prediction(self):
         state = FilterState(np.array([1.0, 2.0, 3.0]), np.eye(3), 4)
-        nxt = kf_free_step(state, np.zeros(3), np.zeros(3), 123.0,
-                           np.zeros(3), 1.0)
+        nxt, _ = kf_step(state, np.eye(3), np.zeros(3), np.zeros(3), 123.0,
+                         np.zeros((3, 3)), 1.0)
         assert np.allclose(nxt.xhat, state.xhat)
         assert nxt.k == 5
 
@@ -117,13 +117,15 @@ class TestKfFreeStep:
         P[0, 1] = 0.3
         state = FilterState(np.zeros(3), P, 7)
         with pytest.raises(CovarianceError, match="asymmetry") as err:
-            kf_free_step(state, np.zeros(3), np.ones(3), 0.0, np.zeros(3), 1.0)
+            kf_step(state, np.eye(3), np.zeros(3), np.ones(3), 0.0,
+                    np.zeros((3, 3)), 1.0)
         assert err.value.step == 8
 
     def test_definiteness_loss_reported_with_step(self):
         state = FilterState(np.zeros(3), np.zeros((3, 3)), 2)
         with pytest.raises(CovarianceError, match="positive definite") as err:
-            kf_free_step(state, np.zeros(3), np.ones(3), 0.0, np.zeros(3), 1.0)
+            kf_step(state, np.eye(3), np.zeros(3), np.ones(3), 0.0,
+                    np.zeros((3, 3)), 1.0)
         assert err.value.step == 3
 
 
@@ -131,12 +133,12 @@ class TestKfCurrentStep:
     def test_quiescent_state_is_invariant(self):
         # zero relative velocity, zero current estimate, uninformative
         # measurement: the estimate must not move
-        sys8 = LtiSystem8.build(0.01)
+        _, B = drift_matrices()
         z = np.array([1.0, 2.0, 3.0, 0.4, 0.5, 0.0, 0.0, 0.0])
         state = FilterState(z, np.eye(8), 0)
-        nxt = kf_current_step(state, sys8, np.zeros(3),
-                              output_row_current(np.ones(3), 1.0), 0.0,
-                              np.zeros(8), np.inf)
+        nxt, _ = kf_step(state, exp_At(0.01), 0.01 * B @ np.zeros(3),
+                         output_row_current(np.ones(3), 1.0), 0.0,
+                         np.zeros((8, 8)), np.inf)
         assert np.allclose(nxt.xhat, z)
 
     def test_innovations_vanish_on_noiseless_run(self):
@@ -192,10 +194,10 @@ class TestFilterConvergence:
 
     def test_truth_z_obeys_discrete_dynamics(self):
         cfg, trace, ii = current_setup(steps=2000, v_f=(0.05, -0.02, 0.03))
-        sys8 = LtiSystem8.build(cfg.ts)
+        _, B = drift_matrices()
         z = truth_z(trace, cfg.v_f)
         u = resolve_signal(cfg).samples
-        pred = z[:-1] @ sys8.Ad.T + u[1:] @ sys8.Bd.T
+        pred = z[:-1] @ exp_At(cfg.ts).T + u[1:] @ (cfg.ts * B).T
         scale = np.abs(z).max()
         assert np.abs(pred - z[1:]).max() <= 1e-12 * max(scale, 1.0)
 
@@ -261,3 +263,49 @@ class TestReanchor:
             r=1.0, s=cfg.s, v_f_true=cfg.v_f, reanchor_every=7500)
         assert run.err_norm[-1] < 1.0
         assert run.vf_err[-1] < 0.1
+
+
+# err_norm and trace_p at k = n/4, n/2, n of the bundled runs, recorded with
+# repr from the two-runner filters that the shared loop replaced. The loop
+# must keep every output byte, so only round-off-free agreement passes.
+PINNED = {
+    "free": [
+        (1250, 5.0336550220872525, 9450.401330466284),
+        (2500, 3.097285452616211, 815.847668154873),
+        (5000, 0.18261539394019882, 4.092167312240506),
+    ],
+    "current": [
+        (5625, 1.4429768523477835, 163.8499412661972),
+        (11250, 0.19764190618690702, 60.64222858149569),
+        (22500, 0.032248179516801416, 45.82977764234933),
+    ],
+    "current_joseph_reanchor": [
+        (5625, 0.46821122601923476, 60.31182582882002),
+        (11250, 0.08395565664010654, 55.20555938400938),
+        (22500, 0.019610493206347432, 49.52415798007524),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_bundled_runs_match_pinned_values(name):
+    free = name == "free"
+    cfg = builtin_free_config() if free else builtin_current_config()
+    fc = cfg.filter
+    scenario = cfg.scenario()
+    ii = integrate(scenario.input)
+    if free:
+        run = run_free_filter(propagate_free(scenario), ii,
+                              np.array(fc.x0_hat), np.array(fc.p0_diag),
+                              np.array(fc.q_diag), fc.r)
+    else:
+        extra = {}
+        if name == "current_joseph_reanchor":
+            extra = dict(joseph_update=True, reanchor_every=750)
+        run = run_current_filter(
+            propagate_current(scenario), ii, np.array(fc.x0_hat),
+            np.array(fc.vf_hat), np.array(fc.p0_diag), np.array(fc.q_diag),
+            fc.r, np.array(cfg.s), v_f_true=np.array(cfg.v_f), **extra)
+    for k, err, trace_p in PINNED[name]:
+        assert run.err_norm[k] == pytest.approx(err, rel=1e-12, abs=0), k
+        assert run.trace_p[k] == pytest.approx(trace_p, rel=1e-12, abs=0), k
