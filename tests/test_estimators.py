@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from singlerange.estimators import (
     run_free_filter,
     truth_z,
 )
-from singlerange.config import builtin_current_config, builtin_free_config
+from singlerange.cli import main
+from singlerange.config import builtin_current_config, dump_config
 from singlerange.observability import drift_matrices, exp_At
 from singlerange.signals import SampledSignal, SinusoidInput, integrate
 from singlerange.truthsim import (
@@ -265,6 +268,70 @@ class TestReanchor:
         assert run.vf_err[-1] < 0.1
 
 
+# Byte digests of the reference CLI runs: argv (output directory added by
+# the fixture) and the SHA-256 of every CSV the run writes. The filter and
+# the CSV writer must keep every output byte, so any change of arithmetic,
+# formatting or run composition fails here. "estimate_trace" re-reads the
+# "current" run's truth CSV and must give the Joseph run's estimate bytes.
+REFERENCE_RUNS = {
+    "free": (["reproduce", "free"], {
+        "free_truth.csv": "c4da13e9f8709d53b495aa47aba64a2ef18bfb7812e434d952979f6f1e3cef9b",
+        "free_estimate.csv": "1729f3a029a342f5b5102f326ce0709b6d7ffff2d198d770f1bbb6721b141f06",
+        "free_error.csv": "055e74f39739b8817b6d96967bd9845669fde60b0c2688b8b2b1cf01d8bf6392",
+    }),
+    "current": (["reproduce", "current"], {
+        "current_truth.csv": "b123900563b7a158019666188286bf6ebe0cd003a7b48730910d8b7f6661602e",
+        "current_estimate.csv": "31db83690882a6cca01614d408d452db25075d90420fef6514322433d5d7c346",
+        "current_error.csv": "e14411adaab5d34c5f9775e8f26a8bed985c0b13f34e6097aa7211d061010c20",
+    }),
+    "free_joseph_reanchor": (
+        ["reproduce", "free", "--joseph-update", "--reanchor-every", "100"], {
+            "free_truth.csv": "c4da13e9f8709d53b495aa47aba64a2ef18bfb7812e434d952979f6f1e3cef9b",
+            "free_estimate.csv": "01b4c961ec033fe319a51cbad738679d14d603346fa2ec087d28a41eab82c4bc",
+            "free_error.csv": "c12a666380003ef14825d189a7034339f3e1cb85a7f61523ea35b940d3e351e0",
+        }),
+    "current_joseph_reanchor": (
+        ["reproduce", "current", "--joseph-update", "--reanchor-every", "750"], {
+            "current_truth.csv": "b123900563b7a158019666188286bf6ebe0cd003a7b48730910d8b7f6661602e",
+            "current_estimate.csv": "3e76ee5d4a67ca48b4eb499019405f52fbe017e72829ebf9c730b13a3d36c544",
+            "current_error.csv": "a152b7eb10ee597d47bad62c8998c2eb2c1e68a817b85ce90955184605a5fee3",
+        }),
+    "estimate_trace": (
+        ["estimate", "--joseph-update", "--reanchor-every", "750"], {
+            "current_estimate.csv": "3e76ee5d4a67ca48b4eb499019405f52fbe017e72829ebf9c730b13a3d36c544",
+        }),
+}
+
+
+@pytest.fixture(scope="module")
+def reference_output(tmp_path_factory):
+    """Output directory of a reference CLI run; each run happens once."""
+    done = {}
+
+    def output(name):
+        if name not in done:
+            out = tmp_path_factory.mktemp(name)
+            argv = REFERENCE_RUNS[name][0] + ["--out", str(out)]
+            if name == "estimate_trace":
+                config = out / "current.yaml"
+                config.write_text(dump_config(builtin_current_config()))
+                trace = output("current") / "current_truth.csv"
+                argv += ["--config", str(config), "--trace", str(trace)]
+            assert main(argv) == 0
+            done[name] = out
+        return done[name]
+
+    return output
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_RUNS))
+def test_reference_runs_match_pinned_digests(name, reference_output):
+    out = reference_output(name)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.glob("*.csv")}
+    assert written == REFERENCE_RUNS[name][1]
+
+
 # err_norm and trace_p at k = n/4, n/2, n of the bundled runs, recorded with
 # repr from the two-runner filters that the shared loop replaced. The loop
 # must keep every output byte, so only round-off-free agreement passes.
@@ -288,24 +355,12 @@ PINNED = {
 
 
 @pytest.mark.parametrize("name", list(PINNED))
-def test_bundled_runs_match_pinned_values(name):
-    free = name == "free"
-    cfg = builtin_free_config() if free else builtin_current_config()
-    fc = cfg.filter
-    scenario = cfg.scenario()
-    ii = integrate(scenario.input)
-    if free:
-        run = run_free_filter(propagate_free(scenario), ii,
-                              np.array(fc.x0_hat), np.array(fc.p0_diag),
-                              np.array(fc.q_diag), fc.r)
-    else:
-        extra = {}
-        if name == "current_joseph_reanchor":
-            extra = dict(joseph_update=True, reanchor_every=750)
-        run = run_current_filter(
-            propagate_current(scenario), ii, np.array(fc.x0_hat),
-            np.array(fc.vf_hat), np.array(fc.p0_diag), np.array(fc.q_diag),
-            fc.r, np.array(cfg.s), v_f_true=np.array(cfg.v_f), **extra)
-    for k, err, trace_p in PINNED[name]:
-        assert run.err_norm[k] == pytest.approx(err, rel=1e-12, abs=0), k
-        assert run.trace_p[k] == pytest.approx(trace_p, rel=1e-12, abs=0), k
+def test_bundled_runs_match_pinned_values(name, reference_output):
+    path = reference_output(name) / f"{name.split('_')[0]}_estimate.csv"
+    header = path.read_text().split("\n", 1)[0].split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    err_norm = data[:, header.index("err_norm")]
+    trace_p = data[:, header.index("trace_P")]
+    for k, err, tr_p in PINNED[name]:
+        assert err_norm[k] == pytest.approx(err, rel=1e-12, abs=0), k
+        assert trace_p[k] == pytest.approx(tr_p, rel=1e-12, abs=0), k
