@@ -54,10 +54,10 @@ EXIT_NUMERICAL = 4
 
 
 def _propagate(cfg, seed=None):
+    """Truth trace and input integral from one scenario build."""
     scenario = cfg.scenario(seed=seed)
-    if cfg.mode == "free":
-        return propagate_free(scenario)
-    return propagate_current(scenario)
+    propagate = propagate_free if cfg.mode == "free" else propagate_current
+    return propagate(scenario), integrate(scenario.input)
 
 
 def _manifest(cfg, seed, artifacts, t_start):
@@ -74,7 +74,7 @@ def _simulate_one(config_path, out_dir, seed_override):
     t_start = time.time()
     cfg = load_config(config_path)
     seed = cfg.seed if seed_override is None else seed_override
-    trace = _propagate(cfg, seed=seed)
+    trace, _ = _propagate(cfg, seed=seed)
     stem = Path(config_path).stem
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -162,12 +162,11 @@ def cmd_observability(args):
     return EXIT_OK if ok else EXIT_NOT_OBSERVABLE
 
 
-def _run_filter(cfg, trace, reanchor_every=None, joseph=None):
+def _run_filter(cfg, trace, ii, reanchor_every=None, joseph=None):
+    """Filter trace with cfg's filter section; ii is the input integral."""
     fc = cfg.filter
     if fc is None:
         raise ConfigError("filter", "required for estimation")
-    scenario = cfg.scenario()
-    ii = integrate(scenario.input)
     reanchor_every = (fc.reanchor_every if reanchor_every is None
                       else reanchor_every)
     joseph = fc.joseph_update if joseph is None else joseph
@@ -200,9 +199,10 @@ def _estimate_one(config_path, out_dir, seed_override, trace_path,
                 "steps",
                 f"config expects {cfg.steps + 1} samples, "
                 f"trace has {len(trace.y)}")
+        ii = integrate(cfg.scenario().input)
     else:
-        trace = _propagate(cfg, seed=seed)
-    run = _run_filter(cfg, trace, reanchor_every=reanchor_every,
+        trace, ii = _propagate(cfg, seed=seed)
+    run = _run_filter(cfg, trace, ii, reanchor_every=reanchor_every,
                       joseph=joseph)
     stem = Path(config_path).stem
     out = Path(out_dir)
@@ -240,8 +240,8 @@ def cmd_reproduce(args):
     cfg = (builtin_free_config() if args.experiment == "free"
            else builtin_current_config())
     seed = cfg.seed if args.seed is None else args.seed
-    trace = _propagate(cfg, seed=seed)
-    run = _run_filter(cfg, trace, reanchor_every=args.reanchor_every,
+    trace, ii = _propagate(cfg, seed=seed)
+    run = _run_filter(cfg, trace, ii, reanchor_every=args.reanchor_every,
                       joseph=args.joseph_update)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

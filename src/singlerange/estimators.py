@@ -17,8 +17,9 @@ predict/update (kf_step) serve both; run_free_filter (F = G = I,
 "free_xt") and run_current_filter (F = exp(A ts), G = ts B, "current" on
 z = (r, r0.v_f, ||v_f||^2, v_f)) only build their models. The update uses
 the information-form gain K = (P^-1 + C^T R^-1 C)^-1 C^T R^-1 evaluated
-via Cholesky; loss of positive definiteness raises instead of being
-silently regularized, and a Joseph-form update is available.
+via Cholesky (LAPACK dpotrf/dpotrs); a covariance that is not finite or not
+positive definite raises instead of being silently regularized. A
+Joseph-form update is available.
 
 Because every ybar form is an exact identity at any anchor, the anchor
 measurement y0 can be replaced mid-run ("re-anchoring") to shed the
@@ -27,9 +28,10 @@ update dynamics.
 """
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from singlerange.observability import drift_matrices, exp_At, output_row_current
 
@@ -136,6 +138,24 @@ def _check_symmetry(P, step):
     return 0.5 * (P + P.T)
 
 
+@cache
+def _identity(d):
+    """Read-only d x d identity, the right-hand side of both inverses."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
+def _cholesky(a, step):
+    """Lower Cholesky factor, exactly as cho_factor(a, lower=True) gives."""
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        minor = f"{info}-th leading minor of the array"
+        raise CovarianceError(step, "covariance not positive definite "
+                              f"({minor} is not positive definite)")
+    return factor
+
+
 def _information_update(P, c, r, step, joseph):
     """Scalar-measurement update; returns (gain, posterior covariance).
 
@@ -144,24 +164,25 @@ def _information_update(P, c, r, step, joseph):
     d = len(c)
     if np.isinf(r):
         return np.zeros(d), P.copy()
+    if not np.isfinite(P).all():
+        raise CovarianceError(step, "covariance not finite")
+    eye = _identity(d)
     if joseph:
         s = float(c @ P @ c) + r
         if s <= 0.0:
             raise CovarianceError(step, f"innovation variance {s:.3e} <= 0")
         K = (P @ c) / s
-        ikc = np.eye(d) - np.outer(K, c)
+        ikc = eye - np.outer(K, c)
         post = ikc @ P @ ikc.T + r * np.outer(K, K)
         return K, 0.5 * (post + post.T)
-    try:
-        cf = cho_factor(P, lower=True)
-        p_inv = cho_solve(cf, np.eye(d))
-        m = p_inv + np.outer(c, c) / r
-        m = 0.5 * (m + m.T)
-        cf_m = cho_factor(m, lower=True)
-        K = cho_solve(cf_m, c / r)
-        post = cho_solve(cf_m, np.eye(d))
-    except np.linalg.LinAlgError as exc:
-        raise CovarianceError(step, f"covariance not positive definite ({exc})")
+    p_inv = dpotrs(_cholesky(P, step), eye, lower=1)[0]
+    m = p_inv + np.outer(c, c) / r
+    m = 0.5 * (m + m.T)
+    if not np.isfinite(m).all():
+        raise CovarianceError(step, "information matrix not finite")
+    factor_m = _cholesky(m, step)
+    K = dpotrs(factor_m, c / r, lower=1)[0]
+    post = dpotrs(factor_m, eye, lower=1)[0]
     return K, 0.5 * (post + post.T)
 
 
@@ -271,8 +292,9 @@ def _run_filter(mode, output_mode, trace, integral, F, G, u, z0, p0, q, r,
         if reanchor_every and k % reanchor_every == 0:
             anchor, state = reanchor(anchor, y[k], t[k], ii[k], state)
     pos = position(est)
-    # One norm per row: norm(..., axis=1) can differ in the last bit.
-    err = np.array([np.linalg.norm(e) for e in pos - trace.x])
+    # Per-row dot products, as norm(row) takes; norm(axis=1) rounds otherwise.
+    e = pos - trace.x
+    err = np.sqrt((e[:, None, :] @ e[:, :, None])[:, 0, 0])
     return FilterRun(
         mode=mode, t=t, state_estimates=est, pos_estimates=pos,
         err_norm=err, trace_p=tr_p, innovations=innov, final_state=state,

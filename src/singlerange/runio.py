@@ -14,20 +14,17 @@ from singlerange.truthsim import TruthTrace
 
 TRACE_HEADER_FREE = "k,t,x1,x2,x3,y_clean,y"
 TRACE_HEADER_CURRENT = "k,t,x1,x2,x3,r1,r2,r3,y_clean,y"
-
-
-def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+_BLOCK_ROWS = 1024  # rows formatted per write; bounds the text held at once
 
 
 def _write_rows(path, header, columns):
-    rows = len(columns[0])
+    """CSV rows of NumPy columns, repr of each tolist() cell, in row blocks."""
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for k in range(rows):
-            fh.write(",".join(_fmt(col[k]) for col in columns) + "\n")
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            cells = [map(repr, col[lo:lo + _BLOCK_ROWS].tolist())
+                     for col in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def write_trace_csv(path, trace):

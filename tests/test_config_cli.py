@@ -349,6 +349,23 @@ class TestCliEstimate:
         assert code == 4
         assert "positive definite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_overflowing_covariance_is_numerical_failure(self, tmp_path,
+                                                         capsys):
+        raw = minimal_free(steps=50)
+        raw["filter"] = {
+            "x0_hat": [1.0, 2.0, 3.0],
+            "p0_diag": [1e308, 1e308, 1e308],
+            "q_diag": [1e308, 1e308, 1e308],
+            "r": 1.0,
+        }
+        path = write_config(tmp_path, raw)
+        code = main(["estimate", "--config", str(path),
+                     "--out", str(tmp_path)])
+        assert code == 4
+        assert "step 1: covariance not finite" in capsys.readouterr().err
+
 
 class TestCliReproduce:
     def test_free_initial_error_and_artifacts(self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from singlerange.estimators import (
 from singlerange.cli import main
 from singlerange.config import builtin_current_config, dump_config
 from singlerange.observability import drift_matrices, exp_At
+from singlerange.runio import read_trace_csv
 from singlerange.signals import SampledSignal, SinusoidInput, integrate
 from singlerange.truthsim import (
     ScenarioConfig,
@@ -130,6 +131,18 @@ class TestKfFreeStep:
             kf_step(state, np.eye(3), np.zeros(3), np.ones(3), 0.0,
                     np.zeros((3, 3)), 1.0)
         assert err.value.step == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    @pytest.mark.parametrize("joseph", [False, True], ids=["info", "joseph"])
+    def test_overflowing_covariance_reported_as_not_finite(self, joseph):
+        # 1e308 + 1e308 overflows: the predicted covariance is infinite
+        big = np.full(3, 1e308)
+        state = FilterState(np.zeros(3), np.diag(big), 0)
+        with pytest.raises(CovarianceError, match="covariance not finite") as err:
+            kf_step(state, np.eye(3), np.zeros(3), np.ones(3), 0.0,
+                    np.diag(big), 1.0, joseph_update=joseph)
+        assert err.value.step == 1
 
 
 class TestKfCurrentStep:
@@ -354,13 +367,33 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("name", list(PINNED))
-def test_bundled_runs_match_pinned_values(name, reference_output):
-    path = reference_output(name) / f"{name.split('_')[0]}_estimate.csv"
+def estimate_columns(out, name):
+    """{header name: column} of a reference run's estimate CSV."""
+    path = out / f"{name.split('_')[0]}_estimate.csv"
     header = path.read_text().split("\n", 1)[0].split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    err_norm = data[:, header.index("err_norm")]
-    trace_p = data[:, header.index("trace_P")]
-    for k, err, tr_p in PINNED[name]:
-        assert err_norm[k] == pytest.approx(err, rel=1e-12, abs=0), k
-        assert trace_p[k] == pytest.approx(tr_p, rel=1e-12, abs=0), k
+    return dict(zip(header, data.T))
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_bundled_runs_match_pinned_values(name, reference_output):
+    est = estimate_columns(reference_output(name), name)
+    for k, err, trace_p in PINNED[name]:
+        assert est["err_norm"][k] == pytest.approx(err, rel=1e-12, abs=0), k
+        assert est["trace_P"][k] == pytest.approx(trace_p, rel=1e-12,
+                                                  abs=0), k
+
+
+@pytest.mark.parametrize("name", [n for n in REFERENCE_RUNS
+                                  if n != "estimate_trace"])
+def test_err_norm_equals_per_row_norm(name, reference_output):
+    # err_norm is computed for all rows at once; it must equal the norm of
+    # each row taken on its own, bit for bit
+    out = reference_output(name)
+    est = estimate_columns(out, name)
+    mode = name.split("_")[0]
+    truth = read_trace_csv(out / f"{mode}_truth.csv")
+    xhat = np.column_stack([est[f"xhat{i}"] for i in (1, 2, 3)])
+    pos = xhat if mode == "free" else np.array(builtin_current_config().s) - xhat
+    expected = np.array([np.linalg.norm(e) for e in pos - truth.x])
+    assert np.array_equal(est["err_norm"], expected)
