@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -253,6 +254,63 @@ class TestCliObservability:
         full = np.loadtxt(tmp_path / "gram" / "gramian_full.csv",
                           delimiter=",")
         assert full.shape == (8, 8)
+
+
+# A current-mode sinusoid design with its first amplitude zeroed: the
+# 8-state window is truly rank 6/8 and G11 rank 2/3 (exit 3).
+RANK_DEFICIENT_DESIGN = {
+    "mode": "current",
+    "ts": 0.01,
+    "steps": 20000,
+    "seed": 1117147996,
+    "x0": [-29.280883191899875, 13.009019978534297, -20.183690934257527],
+    "s": [4.835133601386607, 4.4432961628423495, -5.625691508623909],
+    "v_f": [0.13195474970972493, 0.0630608843492973, 0.07311956314414009],
+    "input": {"kind": "sinusoid", "harmonics": [6, 4, 2], "n0": 6565,
+              "amplitudes": [0.0, 3.627988373340052, 7.255976746680104]},
+}
+
+# `observability` runs: (config YAML, extra argv, exit code, SHA-256 of
+# stdout and of every Gramian CSV written to --out). The loader, the parser
+# and the Gramian rows must keep every output byte. --rank-tol 100 lies
+# above the smallest singular value of H and eigenvalue of G, so the
+# override alone turns the bundled free run unobservable.
+OBSERVABILITY_RUNS = {
+    "free": (lambda: dump_config(builtin_free_config()), [], 0, {
+        "stdout": "7782452b804705b996af14242e7f9ee4845168823223b9d6537bc491a2484d3f",
+        "gramian_free.csv": "7d9bec483c956b8f3eb59bd3bb5ceec3ac77b2994202171521cd528511318f6d",
+    }),
+    "current": (lambda: dump_config(builtin_current_config()), [], 0, {
+        "stdout": "567291bdc00beec44e31e9ea599b08af954f515679cbc288c2153c3d0a3da9b6",
+        "gramian_full.csv": "5b219aaefcba3e10999524e0180130d54b3129882c4dc119d1a189293f224ca7",
+        "gramian_g11.csv": "f6b85c91179b5b5a4a80a3a7a1ad0ae20122e949076200ae89e49cd2bb569371",
+    }),
+    "rank_deficient": (lambda: yaml.safe_dump(RANK_DEFICIENT_DESIGN), [], 3, {
+        "stdout": "4b779834ecc99c0b3842c6738856b0d01bf9d75b00d538d9a8fceba7421e3909",
+        "gramian_full.csv": "54a5a0a138ef78a814244fc8f109efc05423c499339acf10c71d4cef8edd4857",
+        "gramian_g11.csv": "3e5013f4ea6d73078499ce79b10811b621bd52ed3501f843a321ddfd8ad62691",
+    }),
+    "free_rank_tol": (lambda: dump_config(builtin_free_config()),
+                      ["--rank-tol", "100"], 3, {
+        "stdout": "4252c624ca5a9eca7825f8012b311b36f6f8017caf6c5cb34ba49b7edd79d02d",
+        "gramian_free.csv": "7d9bec483c956b8f3eb59bd3bb5ceec3ac77b2994202171521cd528511318f6d",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(OBSERVABILITY_RUNS))
+def test_observability_matches_pinned_digests(name, tmp_path, capsys):
+    text, extra, expected_code, digests = OBSERVABILITY_RUNS[name]
+    config = tmp_path / "scenario.yaml"
+    config.write_text(text())
+    code = main(["observability", "--config", str(config),
+                 "--out", str(tmp_path / "gram"), *extra])
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "gram").glob("*.csv")}
+    written["stdout"] = hashlib.sha256(
+        capsys.readouterr().out.encode()).hexdigest()
+    assert code == expected_code
+    assert written == digests
 
 
 class TestCliEstimate:
