@@ -11,6 +11,7 @@ Exit codes: 0 success (and observable), 2 configuration error,
 """
 
 import argparse
+import functools
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,10 +33,10 @@ from singlerange.estimators import (
     run_free_filter,
 )
 from singlerange.observability import (
-    default_rank_tol,
     g11_condition,
     gramian_current,
     gramian_free,
+    rank_tolerance,
 )
 from singlerange.runio import (
     RunManifest,
@@ -133,8 +134,7 @@ def cmd_observability(args):
         ratio = off / diag.min() if diag.min() > 0 else np.inf
         sv = np.linalg.svd(ii.values, compute_uv=False)
         cond_h = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-        tol_h = (default_rank_tol(sv, len(ii.values))
-                 if args.rank_tol is None else args.rank_tol)
+        tol_h = rank_tolerance(sv, len(ii.values), args.rank_tol)
         rank_h = int(np.sum(sv > tol_h))
         print(f"regression matrix H ({len(ii.values)}x3): rank {rank_h}/3")
         print("  singular values: " + " ".join(f"{v:.6e}" for v in sv))
@@ -266,7 +266,9 @@ def cmd_reproduce(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="singlerange",
         description="Range-only 3D localization: simulation, observability "

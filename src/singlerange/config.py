@@ -376,10 +376,16 @@ def parse_config(raw):
 
 
 def load_config(path):
-    """Read and validate a YAML scenario file."""
+    """Read and validate a YAML scenario file.
+
+    libyaml's scanner and parser are used when PyYAML was built with them;
+    the resolver and constructor are the safe loader's either way, so the
+    result is the same.
+    """
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
+                                               yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path!r} ({exc})")
     except yaml.YAMLError as exc:

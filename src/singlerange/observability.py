@@ -66,6 +66,19 @@ def default_rank_tol(singular_values, n_rows):
     return max(n_rows, len(singular_values)) * np.finfo(float).eps * singular_values[0]
 
 
+def rank_tolerance(singular_values, n_rows, rank_tol):
+    """The rank cutoff in use: rank_tol, or default_rank_tol when None.
+
+    A negative or non-finite rank_tol would reverse the rank verdict
+    (-1 counts every zero singular value, nan counts none), so it raises.
+    """
+    if rank_tol is None:
+        return default_rank_tol(singular_values, n_rows)
+    if not (np.isfinite(rank_tol) and rank_tol >= 0.0):
+        raise ValueError(f"rank_tol must be finite and >= 0, got {rank_tol!r}")
+    return rank_tol
+
+
 @dataclass(frozen=True)
 class LsResult:
     """Outcome of the regression solve.
@@ -101,7 +114,7 @@ def solve_ls(system, rank_tol=None, normal_equations=False):
             f"at least 3 samples are required to identify a 3D position, got {n}"
         )
     U, sv, Vt = np.linalg.svd(H, full_matrices=False)
-    tol = default_rank_tol(sv, n) if rank_tol is None else rank_tol
+    tol = rank_tolerance(sv, n, rank_tol)
     rank = int(np.sum(sv > tol))
     cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
     if rank < 3:
@@ -156,7 +169,7 @@ def _trapezoid_weights(n, ts):
 def _report_from_gramian(G, n_samples, full_rank, rank_tol):
     ev = np.linalg.eigvalsh(G)
     sv = ev[::-1].copy()
-    tol = default_rank_tol(sv, n_samples) if rank_tol is None else rank_tol
+    tol = rank_tolerance(sv, n_samples, rank_tol)
     rank = int(np.sum(sv > tol))
     cond = sv[0] / sv[-1] if rank == len(sv) and sv[-1] > 0.0 else np.inf
     return GramianReport(
@@ -231,9 +244,12 @@ def transition_output_rows(integral):
     """Rows C(t_k) exp(A t_k) = [-2 I^T, -2 t, t^2, 2 t I^T] for all k."""
     ii = integral.values
     t = integral.times
-    return np.hstack(
-        [-2.0 * ii, -2.0 * t[:, None], (t * t)[:, None], 2.0 * t[:, None] * ii]
-    )
+    rows = np.empty((len(t), 8))
+    np.multiply(-2.0, ii, out=rows[:, 0:3])
+    np.multiply(-2.0, t, out=rows[:, 3])
+    np.multiply(t, t, out=rows[:, 4])
+    np.multiply(2.0 * t[:, None], ii, out=rows[:, 5:8])
+    return rows
 
 
 def gramian_current(vr_integral, t_end=None, rank_tol=None):

@@ -7,14 +7,11 @@ Each test prints a single pass/fail line (visible with `pytest -s` or
 """
 
 import math
-import time
 
 import numpy as np
 
 from helpers import max_rel, smooth_signal
 from singlerange.cli import main
-from singlerange.config import builtin_current_config, builtin_free_config
-from singlerange.estimators import run_current_filter, run_free_filter
 from singlerange.observability import (
     build_regression,
     drift_matrices,
@@ -44,16 +41,10 @@ def criterion(num, name, ok, detail):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def test_criterion_01_drift_free_reproduction():
-    t_start = time.perf_counter()
-    cfg = builtin_free_config()
-    scenario = cfg.scenario()
-    trace = propagate_free(scenario)
-    ii = integrate(scenario.input)
-    run = run_free_filter(trace, ii, np.array(cfg.filter.x0_hat),
-                          np.array(cfg.filter.p0_diag),
-                          np.array(cfg.filter.q_diag), cfg.filter.r)
-    elapsed = time.perf_counter() - t_start
+def test_criterion_01_drift_free_reproduction(bundled_run):
+    # the shared session run; its elapsed time covers config to filter
+    bundled = bundled_run("free")
+    run, elapsed = bundled.run, bundled.elapsed
     initial = run.err_norm[0]
     final = run.err_norm[-1]
     halfway = run.err_norm[len(run.err_norm) // 2]
@@ -66,18 +57,10 @@ def test_criterion_01_drift_free_reproduction():
               f"halfway {halfway:.3f} m, runtime {elapsed:.1f} s < 30 s")
 
 
-def test_criterion_02_current_reproduction():
-    t_start = time.perf_counter()
-    cfg = builtin_current_config()
-    scenario = cfg.scenario()
-    trace = propagate_current(scenario)
-    ii = integrate(scenario.input)
-    run = run_current_filter(trace, ii, np.array(cfg.filter.x0_hat),
-                             np.array(cfg.filter.vf_hat),
-                             np.array(cfg.filter.p0_diag),
-                             np.array(cfg.filter.q_diag), cfg.filter.r,
-                             np.array(cfg.s), v_f_true=np.array(cfg.v_f))
-    elapsed = time.perf_counter() - t_start
+def test_criterion_02_current_reproduction(bundled_run):
+    # the shared session run; its elapsed time covers config to filter
+    bundled = bundled_run("current")
+    trace, run, elapsed = bundled.trace, bundled.run, bundled.elapsed
     duration = trace.times[-1]
     final_pos = run.err_norm[-1]
     final_vf = float(np.linalg.norm(run.vf_estimates[-1]))
@@ -240,10 +223,10 @@ def test_criterion_09_derived_output_identities():
               f"current identity {rel_cur:.2e} <= 1e-6")
 
 
-def test_criterion_10_determinism(tmp_path):
-    out_a = tmp_path / "a"
+def test_criterion_10_determinism(tmp_path, reference_output):
+    # the shared `reproduce free` run against a second run in this process
+    out_a = reference_output("free")
     out_b = tmp_path / "b"
-    assert main(["reproduce", "free", "--out", str(out_a)]) == 0
     assert main(["reproduce", "free", "--out", str(out_b)]) == 0
     names = ["free_truth.csv", "free_estimate.csv", "free_error.csv"]
     same = all((out_a / n).read_bytes() == (out_b / n).read_bytes()

@@ -7,7 +7,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlerange.cli import main
+from helpers import REFERENCE_RUNS
+from singlerange.cli import build_parser, main
 from singlerange.config import (
     ConfigError,
     builtin_current_config,
@@ -107,9 +108,25 @@ class TestConfigValidation:
             "reanchor_every": st.integers(min_value=0, max_value=10**6),
         }))
         cfg = parse_config(raw)
-        again = parse_config(yaml.safe_load(dump_config(cfg)))
+        text = dump_config(cfg)
+        again = parse_config(yaml.safe_load(text))
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
+        if hasattr(yaml, "CSafeLoader"):
+            assert parse_config(yaml.load(text, Loader=yaml.CSafeLoader)) == cfg
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML built without libyaml")
+    def test_c_and_python_loaders_agree(self, tmp_path):
+        for cfg in (builtin_free_config(), builtin_current_config()):
+            text = dump_config(cfg)
+            c_raw = yaml.load(text, Loader=yaml.CSafeLoader)
+            py_raw = yaml.load(text, Loader=yaml.SafeLoader)
+            assert c_raw == py_raw
+            assert parse_config(c_raw) == parse_config(py_raw) == cfg
+            path = tmp_path / f"{cfg.mode}.yaml"
+            path.write_text(text)
+            assert load_config(path) == cfg
 
     def test_n0_alternative_for_omega(self):
         raw = minimal_free()
@@ -153,6 +170,57 @@ def write_config(tmp_path, raw, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(raw))
     return path
+
+
+class TestCliLoader:
+    def test_invalid_yaml_exit_code_and_message(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("mode: [free\nts: 0.01\n")
+        code = main(["observability", "--config", str(path)])
+        assert code == 2
+        assert "invalid YAML in" in capsys.readouterr().err
+
+    def test_empty_file_exit_code_and_message(self, tmp_path, capsys):
+        path = tmp_path / "empty.yaml"
+        path.write_text("")
+        code = main(["observability", "--config", str(path)])
+        assert code == 2
+        assert "is empty" in capsys.readouterr().err
+
+
+class TestCliParserReuse:
+    """main() parses with one parser per process; calls must not interact."""
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_estimate_config_list_does_not_leak(self, tmp_path, capsys):
+        paths = {}
+        for name in "abc":
+            raw = minimal_free(seed=3, steps=50)
+            raw["filter"] = {"x0_hat": [1.0, 2.0, 3.0],
+                             "p0_diag": [1.0, 1.0, 1.0],
+                             "q_diag": [0.0, 0.0, 0.0], "r": 1.0}
+            paths[name] = str(write_config(tmp_path, raw, f"{name}.yaml"))
+        assert main(["estimate", "--config", paths["a"], paths["b"],
+                     "--out", str(tmp_path / "ab")]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--config", paths["c"],
+                     "--out", str(tmp_path / "c")]) == 0
+        out = capsys.readouterr().out
+        assert sorted(p.name for p in (tmp_path / "c").iterdir()) == [
+            "c_estimate.csv", "c_estimate_manifest.json"]
+        assert "a_estimate" not in out and "b_estimate" not in out
+        assert out.count("final position error") == 1
+
+    def test_reproduce_flags_do_not_leak(self, tmp_path):
+        # a plain run after a Joseph run writes the plain run's pinned bytes
+        assert main(["reproduce", "free", "--joseph-update",
+                     "--out", str(tmp_path / "joseph")]) == 0
+        assert main(["reproduce", "free", "--out", str(tmp_path / "plain")]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (tmp_path / "plain").glob("*.csv")}
+        assert written == REFERENCE_RUNS["free"][1]
 
 
 class TestCliSimulate:
@@ -254,6 +322,21 @@ class TestCliObservability:
         full = np.loadtxt(tmp_path / "gram" / "gramian_full.csv",
                           delimiter=",")
         assert full.shape == (8, 8)
+
+
+@pytest.mark.parametrize("rank_tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("design", ["free", "rank_deficient"])
+def test_bad_rank_tol_is_config_error(design, rank_tol, tmp_path, capsys):
+    # -1 used to report the rank-6 design as OBSERVABLE (rank 8/8) with
+    # exit 0, and nan reported rank 0; both now stop before any verdict
+    config = tmp_path / "scenario.yaml"
+    config.write_text(OBSERVABILITY_RUNS[design][0]())
+    code = main(["observability", "--config", str(config),
+                 "--rank-tol", rank_tol])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "rank_tol must be finite and >= 0" in captured.err
+    assert captured.out == ""
 
 
 # A current-mode sinusoid design with its first amplitude zeroed: the
@@ -441,16 +524,16 @@ class TestCliReproduce:
                       ).read_text().splitlines()[0]
         assert est_header == "k,t,xhat1,xhat2,xhat3,err_norm,trace_P"
 
-    def test_current_first_row_current_guess(self, tmp_path):
-        code = main(["reproduce", "current", "--out", str(tmp_path)])
-        assert code == 0
-        header, first = (tmp_path / "current_estimate.csv"
+    def test_current_first_row_current_guess(self, reference_output):
+        # the shared `reproduce current` run of the digest test
+        out = reference_output("current")
+        header, first = (out / "current_estimate.csv"
                          ).read_text().splitlines()[:2]
         cols = header.split(",")
         row = dict(zip(cols, first.split(",")))
         assert [float(row[f"vfhat{i}"]) for i in (1, 2, 3)] == [0.1, -0.1, 0.1]
         assert header == ("k,t,xhat1,xhat2,xhat3,xhat4,xhat5,xhat6,xhat7,"
                           "xhat8,err_norm,trace_P,vfhat1,vfhat2,vfhat3")
-        err_header = (tmp_path / "current_error.csv"
+        err_header = (out / "current_error.csv"
                       ).read_text().splitlines()[0]
         assert err_header == "k,t,err_norm,vf_err_norm"

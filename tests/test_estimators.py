@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import max_rel, smooth_signal
+from helpers import REFERENCE_RUNS, current_setup, max_rel, smooth_signal
 from singlerange.estimators import (
     CovarianceError,
     DerivedOutput,
@@ -16,15 +16,13 @@ from singlerange.estimators import (
     run_free_filter,
     truth_z,
 )
-from singlerange.cli import main
-from singlerange.config import builtin_current_config, dump_config
+from singlerange.config import builtin_current_config
 from singlerange.observability import drift_matrices, exp_At
 from singlerange.runio import read_trace_csv
 from singlerange.signals import SampledSignal, SinusoidInput, integrate
 from singlerange.truthsim import (
     ScenarioConfig,
     TruthTrace,
-    propagate_current,
     propagate_free,
     resolve_signal,
 )
@@ -38,16 +36,6 @@ def free_setup(steps=3000, x0=(25.0, 25.0, 25.0), seed=0):
     cfg = ScenarioConfig(x0=np.array(x0), ts=0.01, steps=steps,
                          input=reference_sinusoid(), seed=seed)
     trace = propagate_free(cfg)
-    ii = integrate(resolve_signal(cfg))
-    return cfg, trace, ii
-
-
-def current_setup(steps=6000, v_f=(0.0, 0.0, 0.0), seed=0):
-    cfg = ScenarioConfig(x0=np.array([2.0, 2.0, 0.0]), ts=1 / 750.0,
-                         steps=steps, input="literature",
-                         s=np.array([2.0, 3.0, 1.0]),
-                         v_f=np.array(v_f), seed=seed)
-    trace = propagate_current(cfg)
     ii = integrate(resolve_signal(cfg))
     return cfg, trace, ii
 
@@ -157,14 +145,8 @@ class TestKfCurrentStep:
                          np.zeros((8, 8)), np.inf)
         assert np.allclose(nxt.xhat, z)
 
-    def test_innovations_vanish_on_noiseless_run(self):
-        cfg, trace, ii = current_setup(steps=22500)
-        run = run_current_filter(
-            trace, ii, np.array([-30.0, 20.0, 30.0]),
-            np.array([0.1, -0.1, 0.1]),
-            p0=np.array([1e3, 1e3, 1e3, 1e2, 1e1, 1.0, 1.0, 1.0]),
-            q=np.zeros(8), r=1.0, s=cfg.s, v_f_true=cfg.v_f)
-        inn = np.abs(run.innovations)
+    def test_innovations_vanish_on_noiseless_run(self, noiseless_current_run):
+        inn = np.abs(noiseless_current_run.innovations)
         assert inn[-500:].max() < 1e-4 * inn.max()
 
     def test_gain_forms_agree(self):
@@ -188,13 +170,8 @@ class TestFilterConvergence:
                               p0=np.full(3, 1e4), q=np.zeros(3), r=1.0)
         assert run.err_norm[-1] <= 1e-3 * run.err_norm[0]
 
-    def test_current_noiseless_zero_q(self):
-        cfg, trace, ii = current_setup(steps=22500)
-        run = run_current_filter(
-            trace, ii, np.array([-30.0, 20.0, 30.0]),
-            np.array([0.1, -0.1, 0.1]),
-            p0=np.array([1e3, 1e3, 1e3, 1e2, 1e1, 1.0, 1.0, 1.0]),
-            q=np.zeros(8), r=1.0, s=cfg.s, v_f_true=cfg.v_f)
+    def test_current_noiseless_zero_q(self, noiseless_current_run):
+        run = noiseless_current_run
         assert run.err_norm[-1] <= 1e-3 * run.err_norm[0]
 
     def test_joseph_update_matches_information_form(self):
@@ -279,62 +256,6 @@ class TestReanchor:
             r=1.0, s=cfg.s, v_f_true=cfg.v_f, reanchor_every=7500)
         assert run.err_norm[-1] < 1.0
         assert run.vf_err[-1] < 0.1
-
-
-# Byte digests of the reference CLI runs: argv (output directory added by
-# the fixture) and the SHA-256 of every CSV the run writes. The filter and
-# the CSV writer must keep every output byte, so any change of arithmetic,
-# formatting or run composition fails here. "estimate_trace" re-reads the
-# "current" run's truth CSV and must give the Joseph run's estimate bytes.
-REFERENCE_RUNS = {
-    "free": (["reproduce", "free"], {
-        "free_truth.csv": "c4da13e9f8709d53b495aa47aba64a2ef18bfb7812e434d952979f6f1e3cef9b",
-        "free_estimate.csv": "1729f3a029a342f5b5102f326ce0709b6d7ffff2d198d770f1bbb6721b141f06",
-        "free_error.csv": "055e74f39739b8817b6d96967bd9845669fde60b0c2688b8b2b1cf01d8bf6392",
-    }),
-    "current": (["reproduce", "current"], {
-        "current_truth.csv": "b123900563b7a158019666188286bf6ebe0cd003a7b48730910d8b7f6661602e",
-        "current_estimate.csv": "31db83690882a6cca01614d408d452db25075d90420fef6514322433d5d7c346",
-        "current_error.csv": "e14411adaab5d34c5f9775e8f26a8bed985c0b13f34e6097aa7211d061010c20",
-    }),
-    "free_joseph_reanchor": (
-        ["reproduce", "free", "--joseph-update", "--reanchor-every", "100"], {
-            "free_truth.csv": "c4da13e9f8709d53b495aa47aba64a2ef18bfb7812e434d952979f6f1e3cef9b",
-            "free_estimate.csv": "01b4c961ec033fe319a51cbad738679d14d603346fa2ec087d28a41eab82c4bc",
-            "free_error.csv": "c12a666380003ef14825d189a7034339f3e1cb85a7f61523ea35b940d3e351e0",
-        }),
-    "current_joseph_reanchor": (
-        ["reproduce", "current", "--joseph-update", "--reanchor-every", "750"], {
-            "current_truth.csv": "b123900563b7a158019666188286bf6ebe0cd003a7b48730910d8b7f6661602e",
-            "current_estimate.csv": "3e76ee5d4a67ca48b4eb499019405f52fbe017e72829ebf9c730b13a3d36c544",
-            "current_error.csv": "a152b7eb10ee597d47bad62c8998c2eb2c1e68a817b85ce90955184605a5fee3",
-        }),
-    "estimate_trace": (
-        ["estimate", "--joseph-update", "--reanchor-every", "750"], {
-            "current_estimate.csv": "3e76ee5d4a67ca48b4eb499019405f52fbe017e72829ebf9c730b13a3d36c544",
-        }),
-}
-
-
-@pytest.fixture(scope="module")
-def reference_output(tmp_path_factory):
-    """Output directory of a reference CLI run; each run happens once."""
-    done = {}
-
-    def output(name):
-        if name not in done:
-            out = tmp_path_factory.mktemp(name)
-            argv = REFERENCE_RUNS[name][0] + ["--out", str(out)]
-            if name == "estimate_trace":
-                config = out / "current.yaml"
-                config.write_text(dump_config(builtin_current_config()))
-                trace = output("current") / "current_truth.csv"
-                argv += ["--config", str(config), "--trace", str(trace)]
-            assert main(argv) == 0
-            done[name] = out
-        return done[name]
-
-    return output
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_RUNS))

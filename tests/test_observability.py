@@ -316,3 +316,39 @@ def test_transition_rows_match_matrix_exponential():
         t_k = ii.times[k]
         direct = output_row_current(ii.values[k], t_k) @ exp_At(t_k)
         assert np.allclose(rows[k], direct, rtol=1e-13, atol=1e-13)
+
+
+def test_transition_rows_match_stacked_products():
+    # the preallocated fill computes the same elementwise products as
+    # stacking the four blocks, so the rows agree bit for bit
+    rng = np.random.default_rng(11)
+    sig, _ = smooth_signal(rng, 0.05, 300)
+    ii = integrate(sig)
+    t = ii.times
+    stacked = np.hstack([-2.0 * ii.values, -2.0 * t[:, None],
+                         (t * t)[:, None], 2.0 * t[:, None] * ii.values])
+    assert np.array_equal(transition_output_rows(ii), stacked)
+
+
+BAD_RANK_TOLS = [-1.0, np.nan, np.inf]
+
+
+@pytest.mark.parametrize("rank_tol", BAD_RANK_TOLS)
+def test_bad_rank_tol_rejected(rank_tol):
+    # a negative tolerance counts zero singular values, nan counts none:
+    # either would reverse the verdict, so every consumer raises
+    sig, _ = smooth_signal(np.random.default_rng(4), 0.05, 200, dim=2)
+    ii = integrate(sig)
+    system = RegressionSystem(ii.values, np.zeros(len(ii.values)))
+    for analyse in (lambda: solve_ls(system, rank_tol=rank_tol),
+                    lambda: gramian_free(ii, rank_tol=rank_tol),
+                    lambda: gramian_current(ii, rank_tol=rank_tol),
+                    lambda: g11_condition(ii, rank_tol=rank_tol)):
+        with pytest.raises(ValueError, match="rank_tol must be finite"):
+            analyse()
+
+
+def test_zero_rank_tol_accepted():
+    sig, _ = smooth_signal(np.random.default_rng(4), 0.05, 200, dim=2)
+    report = gramian_free(integrate(sig), rank_tol=0.0)
+    assert report.tolerance_used == 0.0
