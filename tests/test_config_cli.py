@@ -338,7 +338,8 @@ RANK_DEFICIENT_DESIGN = {
 # stdout and of every Gramian CSV written to --out). The loader, the parser
 # and the Gramian rows must keep every output byte. --rank-tol 100 lies
 # above the smallest singular value of H and eigenvalue of G, so the
-# override alone turns the bundled free run unobservable.
+# override alone turns the bundled free run unobservable; on the bundled
+# current run it cuts the 8x8 Gramian to rank 6 but keeps G11 at rank 3.
 OBSERVABILITY_RUNS = {
     "free": (lambda: dump_config(builtin_free_config()), [], 0, {
         "stdout": "7782452b804705b996af14242e7f9ee4845168823223b9d6537bc491a2484d3f",
@@ -358,6 +359,12 @@ OBSERVABILITY_RUNS = {
                       ["--rank-tol", "100"], 3, {
         "stdout": "4252c624ca5a9eca7825f8012b311b36f6f8017caf6c5cb34ba49b7edd79d02d",
         "gramian_free.csv": "7d9bec483c956b8f3eb59bd3bb5ceec3ac77b2994202171521cd528511318f6d",
+    }),
+    "current_rank_tol": (lambda: dump_config(builtin_current_config()),
+                         ["--rank-tol", "100"], 3, {
+        "stdout": "30b2bb031141e9c5fcf1358341889fc37629f7849e2ec03e56da0f0591251c8d",
+        "gramian_full.csv": "5b219aaefcba3e10999524e0180130d54b3129882c4dc119d1a189293f224ca7",
+        "gramian_g11.csv": "f6b85c91179b5b5a4a80a3a7a1ad0ae20122e949076200ae89e49cd2bb569371",
     }),
 }
 

@@ -103,7 +103,8 @@ class TestSolveLs:
         cfg = free_scenario([5.0, -3.0, 2.0], reference_sinusoid(), 0.01, 1500)
         system, _, _ = noiseless_regression(cfg)
         svd_route = solve_ls(system).x0
-        normal_route = solve_ls(system, normal_equations=True).x0
+        H, ybar = system.H, system.ybar
+        normal_route = np.linalg.solve(H.T @ H, H.T @ ybar)
         assert np.allclose(svd_route, normal_route, rtol=1e-8, atol=1e-10)
 
 
@@ -249,8 +250,7 @@ class TestG11Condition:
         rng = np.random.default_rng(6)
         sig, _ = smooth_signal(rng, 0.02, 500)
         ii = integrate(sig)
-        assert np.allclose(g11_condition(ii).G, 4.0 * gramian_free(ii).G,
-                           rtol=1e-14, atol=0.0)
+        assert np.array_equal(g11_condition(ii).G, 4.0 * gramian_free(ii).G)
 
     def test_full_rank_implies_necessary_condition(self):
         # over 100 random smooth inputs: 8x8 rank 8 always comes with
