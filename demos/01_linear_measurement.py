@@ -16,7 +16,7 @@ import numpy as np
 
 from singlerange.observability import build_regression, solve_ls
 from singlerange.signals import SinusoidInput, integrate
-from singlerange.truthsim import ScenarioConfig, propagate_free, resolve_signal
+from singlerange.truthsim import ScenarioConfig, propagate_free
 
 x0 = np.array([25.0, 25.0, 25.0])
 input_velocity = SinusoidInput.from_max_speed(
@@ -24,7 +24,7 @@ input_velocity = SinusoidInput.from_max_speed(
 
 scenario = ScenarioConfig(x0=x0, ts=0.01, steps=4000, input=input_velocity)
 trace = propagate_free(scenario)
-integral = integrate(resolve_signal(scenario))
+integral = integrate(scenario.input)
 
 print("agent starts at", x0, "and only ever sees squared ranges\n")
 
@@ -49,7 +49,7 @@ lame = ScenarioConfig(
     input=lambda t: np.stack([np.cos(t), np.zeros_like(t),
                               np.zeros_like(t)], axis=-1))
 lame_trace = propagate_free(lame)
-lame_sys = build_regression(lame_trace, integrate(resolve_signal(lame)))
+lame_sys = build_regression(lame_trace, integrate(lame.input))
 lame_result = solve_ls(lame_sys)
 print("\nsingle-axis excitation instead:")
 print("  rank", lame_result.rank, "of 3 -> not identifiable")

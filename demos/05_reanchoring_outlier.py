@@ -21,7 +21,6 @@ from singlerange.truthsim import (
     ScenarioConfig,
     TruthTrace,
     propagate_free,
-    resolve_signal,
 )
 
 scenario = ScenarioConfig(
@@ -35,7 +34,7 @@ corrupted_y[0] += 500.0
 corrupted = TruthTrace(ts=trace.ts, x=trace.x, y_clean=trace.y_clean,
                        y=corrupted_y)
 
-integral = integrate(resolve_signal(scenario))
+integral = integrate(scenario.input)
 settings = dict(p0=np.full(3, 1e4), q=np.full(3, 1e-4), r=1.0)
 x0_hat = np.array([125.0, 125.0, 125.0])
 

@@ -36,7 +36,7 @@ from singlerange.observability import (
     g11_condition,
     gramian_current,
     gramian_free,
-    rank_tolerance,
+    regression_rank,
 )
 from singlerange.runio import (
     RunManifest,
@@ -102,9 +102,10 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _spectrum_lines(label, report, dim):
+def _spectrum_lines(label, report):
+    dim = len(report.G)
     verdict = "OBSERVABLE" if report.observable else "NOT OBSERVABLE"
-    lines = [
+    return [
         f"{label}: rank {report.numerical_rank}/{dim}",
         f"  eigenvalues: "
         + " ".join(f"{v:.6e}" for v in report.eigenvalues[::-1]),
@@ -112,53 +113,46 @@ def _spectrum_lines(label, report, dim):
         f"  rank tolerance: {report.tolerance_used:.6e}",
         f"  verdict: {verdict} (rank {report.numerical_rank}/{dim})",
     ]
-    return lines, report.observable
 
 
 def cmd_observability(args):
+    """Print the report, then write the Gramian CSVs; a refused run writes
+    nothing."""
     cfg = load_config(args.config)
-    scenario = cfg.scenario(seed=args.seed)
-    ii = integrate(scenario.input)
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def save(name, matrix):
-        if out_dir:
-            np.savetxt(out_dir / name, matrix, delimiter=",", fmt="%.17g")
-
+    ii = integrate(cfg.scenario(seed=args.seed).input)
     if cfg.mode == "free":
-        hth = ii.values.T @ ii.values
+        H = ii.values
+        sv, _, rank_h, cond_h = regression_rank(H, args.rank_tol)
+        hth = H.T @ H
         diag = np.diag(hth)
         off = np.abs(hth - np.diag(diag)).max()
         ratio = off / diag.min() if diag.min() > 0 else np.inf
-        sv = np.linalg.svd(ii.values, compute_uv=False)
-        cond_h = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-        tol_h = rank_tolerance(sv, len(ii.values), args.rank_tol)
-        rank_h = int(np.sum(sv > tol_h))
-        print(f"regression matrix H ({len(ii.values)}x3): rank {rank_h}/3")
-        print("  singular values: " + " ".join(f"{v:.6e}" for v in sv))
-        print(f"  condition number: {cond_h:.6e}")
-        print(f"  normal-matrix off-diagonal ratio: {ratio:.6e}")
-        report = gramian_free(ii, rank_tol=args.rank_tol)
-        lines, ok = _spectrum_lines("integral Gramian G (3x3)", report, 3)
-        print("\n".join(lines))
-        save("gramian_free.csv", report.G)
-        verdict = "OBSERVABLE" if ok else "NOT OBSERVABLE"
-        print(f"{verdict} (rank {report.numerical_rank}/3)")
-        return EXIT_OK if ok else EXIT_NOT_OBSERVABLE
-
-    full = gramian_current(ii, rank_tol=args.rank_tol)
-    lines, ok = _spectrum_lines("augmented-state Gramian (8x8)", full, 8)
+        verdict = gramian_free(ii, rank_tol=args.rank_tol)
+        gramians = {"gramian_free.csv": verdict}
+        lines = [
+            f"regression matrix H ({len(H)}x3): rank {rank_h}/3",
+            "  singular values: " + " ".join(f"{v:.6e}" for v in sv),
+            f"  condition number: {cond_h:.6e}",
+            f"  normal-matrix off-diagonal ratio: {ratio:.6e}",
+            *_spectrum_lines("integral Gramian G (3x3)", verdict),
+        ]
+    else:
+        verdict = gramian_current(ii, rank_tol=args.rank_tol)
+        g11 = g11_condition(ii, rank_tol=args.rank_tol)
+        gramians = {"gramian_full.csv": verdict, "gramian_g11.csv": g11}
+        lines = [
+            *_spectrum_lines("augmented-state Gramian (8x8)", verdict),
+            *_spectrum_lines("necessary-condition block G11 (3x3)", g11),
+        ]
+    ok = verdict.observable
+    lines.append(f"{'OBSERVABLE' if ok else 'NOT OBSERVABLE'} "
+                 f"(rank {verdict.numerical_rank}/{len(verdict.G)})")
     print("\n".join(lines))
-    g11 = g11_condition(ii, rank_tol=args.rank_tol)
-    lines11, ok11 = _spectrum_lines(
-        "necessary-condition block G11 (3x3)", g11, 3)
-    print("\n".join(lines11))
-    save("gramian_full.csv", full.G)
-    save("gramian_g11.csv", g11.G)
-    verdict = "OBSERVABLE" if ok else "NOT OBSERVABLE"
-    print(f"{verdict} (rank {full.numerical_rank}/8)")
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, report in gramians.items():
+            np.savetxt(out_dir / name, report.G, delimiter=",", fmt="%.17g")
     return EXIT_OK if ok else EXIT_NOT_OBSERVABLE
 
 

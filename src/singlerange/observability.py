@@ -59,24 +59,37 @@ def build_regression(trace, integral):
     return RegressionSystem(H=ii.copy(), ybar=ybar)
 
 
-def default_rank_tol(singular_values, n_rows):
-    """Scale-aware SVD rank cutoff: max(dims) * eps * sigma_max."""
-    if len(singular_values) == 0 or singular_values[0] == 0.0:
-        return 0.0
-    return max(n_rows, len(singular_values)) * np.finfo(float).eps * singular_values[0]
-
-
 def rank_tolerance(singular_values, n_rows, rank_tol):
-    """The rank cutoff in use: rank_tol, or default_rank_tol when None.
+    """The rank cutoff in use: rank_tol, or max(dims) * eps * sigma_max.
 
     A negative or non-finite rank_tol would reverse the rank verdict
     (-1 counts every zero singular value, nan counts none), so it raises.
     """
     if rank_tol is None:
-        return default_rank_tol(singular_values, n_rows)
+        if len(singular_values) == 0 or singular_values[0] == 0.0:
+            return 0.0
+        return (max(n_rows, len(singular_values)) * np.finfo(float).eps
+                * singular_values[0])
     if not (np.isfinite(rank_tol) and rank_tol >= 0.0):
         raise ValueError(f"rank_tol must be finite and >= 0, got {rank_tol!r}")
     return rank_tol
+
+
+def _spectrum(sv, n_rows, rank_tol):
+    """(tolerance, numerical rank, sv[0] / sv[-1]) of descending values."""
+    tol = rank_tolerance(sv, n_rows, rank_tol)
+    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
+    return tol, int(np.sum(sv > tol)), cond
+
+
+def regression_rank(H, rank_tol=None):
+    """(singular values, tolerance, rank, condition number) of H.
+
+    The singular values come without U and V (compute_uv=False), so they
+    can differ in the last bit from the ones solve_ls factors H into.
+    """
+    sv = np.linalg.svd(H, compute_uv=False)
+    return (sv, *_spectrum(sv, len(H), rank_tol))
 
 
 @dataclass(frozen=True)
@@ -100,13 +113,8 @@ class LsResult:
         return self.rank == 3
 
 
-def solve_ls(system, rank_tol=None, normal_equations=False):
-    """Solve H x0 = ybar by orthogonal factorization (SVD).
-
-    With normal_equations=True the textbook (H^T H)^{-1} H^T ybar route is
-    used instead; it is algebraically identical at full rank and retained
-    as a cross-check, but numerically inferior for ill-conditioned H.
-    """
+def solve_ls(system, rank_tol=None):
+    """Solve H x0 = ybar by orthogonal factorization (SVD)."""
     H, ybar = system.H, system.ybar
     n = H.shape[0]
     if n < 3:
@@ -114,21 +122,15 @@ def solve_ls(system, rank_tol=None, normal_equations=False):
             f"at least 3 samples are required to identify a 3D position, got {n}"
         )
     U, sv, Vt = np.linalg.svd(H, full_matrices=False)
-    tol = rank_tolerance(sv, n, rank_tol)
-    rank = int(np.sum(sv > tol))
-    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
+    tol, rank, cond = _spectrum(sv, n, rank_tol)
     if rank < 3:
         return LsResult(
             x0=None, rank=rank, kernel=Vt[rank:].T.copy(),
             singular_values=sv, condition_number=cond, tolerance_used=tol,
         )
-    if normal_equations:
-        x0 = np.linalg.solve(H.T @ H, H.T @ ybar)
-    else:
-        x0 = Vt.T @ ((U.T @ ybar) / sv)
     return LsResult(
-        x0=x0, rank=3, kernel=None, singular_values=sv,
-        condition_number=cond, tolerance_used=tol,
+        x0=Vt.T @ ((U.T @ ybar) / sv), rank=3, kernel=None,
+        singular_values=sv, condition_number=cond, tolerance_used=tol,
     )
 
 
@@ -166,15 +168,23 @@ def _trapezoid_weights(n, ts):
     return w
 
 
-def _report_from_gramian(G, n_samples, full_rank, rank_tol):
+def _information(rows, ts):
+    """Trapezoid rule for int row row^T dtau over rows sampled every ts."""
+    w = _trapezoid_weights(len(rows), ts)
+    G = (rows * w[:, None]).T @ rows
+    return 0.5 * (G + G.T)
+
+
+def _report(G, n_samples, rank_tol):
+    """Eigen-report of G; observable means full rank."""
     ev = np.linalg.eigvalsh(G)
     sv = ev[::-1].copy()
-    tol = rank_tolerance(sv, n_samples, rank_tol)
-    rank = int(np.sum(sv > tol))
-    cond = sv[0] / sv[-1] if rank == len(sv) and sv[-1] > 0.0 else np.inf
+    tol, rank, cond = _spectrum(sv, n_samples, rank_tol)
+    full = rank == len(sv)
     return GramianReport(
-        G=G, eigenvalues=ev, numerical_rank=rank, condition_number=cond,
-        observable=(rank == full_rank), tolerance_used=tol,
+        G=G, eigenvalues=ev, numerical_rank=rank,
+        condition_number=cond if full else np.inf, observable=full,
+        tolerance_used=tol,
     )
 
 
@@ -189,10 +199,7 @@ def gramian_free(integral, t_end=None, rank_tol=None):
     from data on [0, t_end] if and only if this holds.
     """
     ii = _maybe_truncate(integral, t_end).values
-    w = _trapezoid_weights(len(ii), integral.ts)
-    G = (ii * w[:, None]).T @ ii
-    G = 0.5 * (G + G.T)
-    return _report_from_gramian(G, len(ii), 3, rank_tol)
+    return _report(_information(ii, integral.ts), len(ii), rank_tol)
 
 
 def mu_free(integral, ybar, t_end=None):
@@ -258,12 +265,8 @@ def gramian_current(vr_integral, t_end=None, rank_tol=None):
     Accumulates the outer products of C(tau) exp(A tau) by the trapezoid
     rule; observable means numerical rank 8.
     """
-    trace = _maybe_truncate(vr_integral, t_end)
-    rows = transition_output_rows(trace)
-    w = _trapezoid_weights(len(rows), vr_integral.ts)
-    G = (rows * w[:, None]).T @ rows
-    G = 0.5 * (G + G.T)
-    return _report_from_gramian(G, len(rows), 8, rank_tol)
+    rows = transition_output_rows(_maybe_truncate(vr_integral, t_end))
+    return _report(_information(rows, vr_integral.ts), len(rows), rank_tol)
 
 
 def g11_condition(vr_integral, t_end=None, rank_tol=None):
@@ -272,7 +275,5 @@ def g11_condition(vr_integral, t_end=None, rank_tol=None):
     observable here means the necessary condition holds (rank 3); it does
     not by itself imply the full model is observable.
     """
-    free = gramian_free(vr_integral, t_end=t_end, rank_tol=rank_tol)
-    G = 4.0 * free.G
-    n = len(_maybe_truncate(vr_integral, t_end).values)
-    return _report_from_gramian(G, n, 3, rank_tol)
+    ii = _maybe_truncate(vr_integral, t_end).values
+    return _report(4.0 * _information(ii, vr_integral.ts), len(ii), rank_tol)

@@ -16,12 +16,11 @@ the non-Gaussianity that the squared-range idealization hides.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
 
 import numpy as np
 
 from singlerange.frames import as_vec3
-from singlerange.signals import IntegralTrace, SampledSignal, SinusoidInput, integrate, literature_profile
+from singlerange.signals import SampledSignal, integrate
 
 # Distinct counter-based streams per noise channel so draws are
 # reproducible given (seed, channel) regardless of call order.
@@ -63,17 +62,18 @@ class NoiseSpec:
         object.__setattr__(self, "state_var", sv)
 
 
-InputSpec = Union[SampledSignal, SinusoidInput, Callable, str]
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation scenario: initial condition, input, noise, seed."""
+    """One simulation scenario: initial condition, input, noise, seed.
+
+    input, a SampledSignal with the scenario's ts or a function of t, is
+    sampled here, once: afterwards it is a SampledSignal of steps + 1 rows.
+    """
 
     x0: np.ndarray                       # initial position [m]
     ts: float                            # sampling period [s]
     steps: int                           # number of steps (samples = steps+1)
-    input: InputSpec                     # velocity signal (u or v_r)
+    input: SampledSignal                 # velocity signal (u or v_r)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     seed: int = 0
     s: np.ndarray = field(default_factory=lambda: np.zeros(3))    # beacon [m]
@@ -87,27 +87,23 @@ class ScenarioConfig:
         object.__setattr__(self, "x0", as_vec3(self.x0, "x0"))
         object.__setattr__(self, "s", as_vec3(self.s, "s"))
         object.__setattr__(self, "v_f", as_vec3(self.v_f, "v_f"))
-
-
-def resolve_signal(cfg):
-    """Materialize the scenario's input as a SampledSignal on its grid."""
-    spec = cfg.input
-    if isinstance(spec, SampledSignal):
-        if abs(spec.ts - cfg.ts) > 1e-12 * cfg.ts:
+        signal = self.input
+        if callable(signal):
+            signal = SampledSignal.from_function(signal, self.ts, self.steps)
+        elif not isinstance(signal, SampledSignal):
+            raise TypeError("input must be a SampledSignal or a function of "
+                            f"t, got {type(signal).__name__}")
+        elif abs(signal.ts - self.ts) > 1e-12 * self.ts:
             raise ValueError(
-                f"input ts {spec.ts} does not match scenario ts {cfg.ts}"
+                f"input ts {signal.ts} does not match scenario ts {self.ts}"
             )
-        if len(spec.samples) < cfg.steps + 1:
+        elif len(signal.samples) < self.steps + 1:
             raise ValueError(
-                f"input provides {len(spec.samples)} samples, "
-                f"scenario needs {cfg.steps + 1}"
+                f"input provides {len(signal.samples)} samples, "
+                f"scenario needs {self.steps + 1}"
             )
-        return SampledSignal(cfg.ts, spec.samples[: cfg.steps + 1])
-    if isinstance(spec, str):
-        if spec != "literature":
-            raise ValueError(f"unknown named input {spec!r}")
-        return SampledSignal.from_function(literature_profile, cfg.ts, cfg.steps)
-    return SampledSignal.from_function(spec, cfg.ts, cfg.steps)
+        object.__setattr__(self, "input", SampledSignal(
+            self.ts, signal.samples[: self.steps + 1]))
 
 
 @dataclass(frozen=True)
@@ -175,8 +171,7 @@ def propagate_free(cfg):
     """Drift-free truth: x_k = x0 + I_k, y = ||x||^2 plus output noise."""
     if np.any(cfg.v_f != 0.0):
         raise ValueError("propagate_free requires v_f = 0; use propagate_current")
-    signal = resolve_signal(cfg)
-    ii = integrate(signal)
+    ii = integrate(cfg.input)
     x = cfg.x0 + ii.values
     w = _state_noise(cfg, cfg.steps)
     if w is not None:
@@ -192,8 +187,7 @@ def propagate_current(cfg):
     The recursion makes r_k = r0 - v_f*t_k - I_k hold exactly, so the
     derived linear output identities are exact on noiseless traces.
     """
-    signal = resolve_signal(cfg)
-    ii = integrate(signal)
+    ii = integrate(cfg.input)
     t = ii.times
     r0 = cfg.s - cfg.x0
     r = r0 - np.outer(t, cfg.v_f) - ii.values

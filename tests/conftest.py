@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from helpers import REFERENCE_RUNS, current_setup
+from helpers import NOISELESS_CURRENT_FILTER, REFERENCE_RUNS, current_setup
 from singlerange.cli import main
 from singlerange.config import (
     builtin_current_config,
@@ -105,8 +105,5 @@ def bundled_run():
 def noiseless_current_run():
     """22 500 noiseless literature-profile steps filtered with q = 0."""
     cfg, trace, ii = current_setup(steps=22500)
-    return run_current_filter(
-        trace, ii, np.array([-30.0, 20.0, 30.0]),
-        np.array([0.1, -0.1, 0.1]),
-        p0=np.array([1e3, 1e3, 1e3, 1e2, 1e1, 1.0, 1.0, 1.0]),
-        q=np.zeros(8), r=1.0, s=cfg.s, v_f_true=cfg.v_f)
+    return run_current_filter(trace, ii, s=cfg.s, v_f_true=cfg.v_f,
+                              **NOISELESS_CURRENT_FILTER)

@@ -3,8 +3,8 @@ rank, the current-model test scenario and the pinned reference CLI runs."""
 
 import numpy as np
 
-from singlerange.signals import SampledSignal, integrate
-from singlerange.truthsim import ScenarioConfig, propagate_current, resolve_signal
+from singlerange.signals import SampledSignal, integrate, literature_profile
+from singlerange.truthsim import ScenarioConfig, propagate_current
 
 
 def max_rel(a, b):
@@ -42,12 +42,20 @@ def smooth_signal(rng, ts, steps, dim=3, scale=1.0, n_modes=3):
 
 def current_setup(steps=6000, v_f=(0.0, 0.0, 0.0), seed=0):
     cfg = ScenarioConfig(x0=np.array([2.0, 2.0, 0.0]), ts=1 / 750.0,
-                         steps=steps, input="literature",
+                         steps=steps, input=literature_profile,
                          s=np.array([2.0, 3.0, 1.0]),
                          v_f=np.array(v_f), seed=seed)
     trace = propagate_current(cfg)
-    ii = integrate(resolve_signal(cfg))
+    ii = integrate(cfg.input)
     return cfg, trace, ii
+
+
+# Filter settings of the q = 0 run of current_setup(steps=22500) that
+# conftest.noiseless_current_run makes.
+NOISELESS_CURRENT_FILTER = dict(
+    x0_hat=np.array([-30.0, 20.0, 30.0]), vf_hat=np.array([0.1, -0.1, 0.1]),
+    p0=np.array([1e3, 1e3, 1e3, 1e2, 1e1, 1.0, 1.0, 1.0]), q=np.zeros(8),
+    r=1.0)
 
 
 # Byte digests of the reference CLI runs: argv (output directory added by

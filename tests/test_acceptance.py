@@ -31,7 +31,6 @@ from singlerange.truthsim import (
     ScenarioConfig,
     propagate_current,
     propagate_free,
-    resolve_signal,
 )
 
 
@@ -104,7 +103,7 @@ def test_criterion_04_noiseless_identifiability_oracle():
         x0 = rng.uniform(5.0, 50.0, size=3) * rng.choice([-1.0, 1.0], size=3)
         cfg = ScenarioConfig(x0=x0, ts=0.02, steps=800, input=sig)
         trace = propagate_free(cfg)
-        ii = integrate(resolve_signal(cfg))
+        ii = integrate(cfg.input)
         system = build_regression(trace, ii)
         ls = solve_ls(system)
         assert ls.identifiable
@@ -201,16 +200,16 @@ def test_criterion_09_derived_output_identities():
         input=SinusoidInput.from_max_speed(0.5, np.array([1, 2, 3]),
                                            0.01 * math.pi))
     trace = propagate_free(free_cfg)
-    ii = integrate(resolve_signal(free_cfg)).values
+    ii = integrate(free_cfg.input).values
     ybar = 0.5 * (trace.y - trace.y[0] + np.einsum("ij,ij->i", ii, ii))
     rel_free = max_rel(ybar, np.einsum("ij,ij->i", ii, trace.x))
 
     cur_cfg = ScenarioConfig(
         x0=np.array([2.0, 2.0, 0.0]), ts=1 / 750.0, steps=5000,
-        input="literature", s=np.array([2.0, 3.0, 1.0]),
+        input=literature_profile, s=np.array([2.0, 3.0, 1.0]),
         v_f=np.array([0.1, -0.05, 0.02]))
     cur = propagate_current(cur_cfg)
-    iic = integrate(resolve_signal(cur_cfg)).values
+    iic = integrate(cur_cfg.input).values
     t = cur.times
     lhs = cur.y - cur.y[0] + np.einsum("ij,ij->i", iic, iic)
     rhs = (-2.0 * np.einsum("ij,ij->i", iic, cur.r)

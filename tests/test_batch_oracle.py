@@ -9,13 +9,25 @@ block of the solution is the filtered x_n, and the inverse of L_nn L_nn^T
 
 Model, rows and derived outputs are rebuilt here from the paper's formulas,
 not taken from the package, so a wrong row, G or Q in the filter fails.
+
+With q = 0 the problem collapses to x_0 alone, and the information the
+filter accumulates is the discrete observability Gramian:
+
+    inv(P_n) = Phi_n^-T (P0^-1 + sum_k rows_k rows_k^T / r) Phi_n^-1
+
+with rows_k = C(t_k) exp(A t_k), k = 1..n, the package's
+transition_output_rows, and Phi_n = exp(A t_n); in free mode Phi = I and
+the rows are I_k. This ties the filter to the rows every Gramian is built
+from.
 """
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from helpers import max_rel
+from helpers import NOISELESS_CURRENT_FILTER, current_setup, max_rel
+from singlerange.estimators import run_free_filter
+from singlerange.observability import exp_At, transition_output_rows
 
 
 def window_problem(bundled):
@@ -97,3 +109,33 @@ def test_filter_matches_batch_solution(mode, seed, bundled_run):
     # covariance recursion the batch trace is off by 2.5e-8 (free) and
     # 3e-9 (current) at n/2, the filter's by 1e-9 and 4e-12.
     assert run.trace_p[n // 2] == pytest.approx(np.trace(p_half), rel=1e-7)
+
+
+def gramian_information(rows, phi_n, p0, r):
+    """Phi_n^-T (P0^-1 + sum rows_k rows_k^T / r) Phi_n^-1."""
+    phi_inv = np.linalg.inv(phi_n)
+    return phi_inv.T @ (np.linalg.inv(p0) + rows.T @ rows / r) @ phi_inv
+
+
+def test_zero_q_current_information_is_gramian_sum(noiseless_current_run):
+    # measured 2.5e-10; the t^2 column of the rows scaled by 1 + 1e-7
+    # gives 2e-7
+    _, _, ii = current_setup(steps=22500)
+    settings = NOISELESS_CURRENT_FILTER
+    expected = gramian_information(
+        transition_output_rows(ii)[1:], exp_At(ii.times[-1]),
+        np.diag(settings["p0"]), settings["r"])
+    got = np.linalg.inv(noiseless_current_run.final_state.P)
+    assert max_rel(got, expected) < 1e-8
+
+
+def test_zero_q_free_information_is_gramian_sum(bundled_run):
+    # measured 3.2e-9; the filter's row scaled by 1 + 1e-7 gives 2e-7
+    bundled = bundled_run("free")
+    fc = bundled.cfg.filter
+    run = run_free_filter(bundled.trace, bundled.integral,
+                          np.array(fc.x0_hat), np.array(fc.p0_diag),
+                          np.zeros(3), fc.r)
+    expected = gramian_information(bundled.integral.values[1:], np.eye(3),
+                                   np.diag(fc.p0_diag), fc.r)
+    assert max_rel(np.linalg.inv(run.final_state.P), expected) < 1e-8

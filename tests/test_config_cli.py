@@ -399,6 +399,17 @@ def test_bad_rank_tol_is_config_error(design, rank_tol, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_refused_observability_run_creates_no_out_dir(tmp_path, capsys):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(OBSERVABILITY_RUNS["current"][0]())
+    out = tmp_path / "gram"
+    code = main(["observability", "--config", str(config),
+                 "--rank-tol", "-1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 class TestCliEstimate:
     def test_inline_and_trace_paths_agree(self, tmp_path):
         raw = minimal_free(seed=3, steps=500)

@@ -24,7 +24,6 @@ from singlerange.truthsim import (
     ScenarioConfig,
     TruthTrace,
     propagate_free,
-    resolve_signal,
 )
 
 
@@ -36,7 +35,7 @@ def free_setup(steps=3000, x0=(25.0, 25.0, 25.0), seed=0):
     cfg = ScenarioConfig(x0=np.array(x0), ts=0.01, steps=steps,
                          input=reference_sinusoid(), seed=seed)
     trace = propagate_free(cfg)
-    ii = integrate(resolve_signal(cfg))
+    ii = integrate(cfg.input)
     return cfg, trace, ii
 
 
@@ -189,7 +188,7 @@ class TestFilterConvergence:
         cfg, trace, ii = current_setup(steps=2000, v_f=(0.05, -0.02, 0.03))
         _, B = drift_matrices()
         z = truth_z(trace, cfg.v_f)
-        u = resolve_signal(cfg).samples
+        u = cfg.input.samples
         pred = z[:-1] @ exp_At(cfg.ts).T + u[1:] @ (cfg.ts * B).T
         scale = np.abs(z).max()
         assert np.abs(pred - z[1:]).max() <= 1e-12 * max(scale, 1.0)

@@ -16,7 +16,7 @@ from singlerange.observability import (
     transition_output_rows,
 )
 from singlerange.signals import SampledSignal, SinusoidInput, integrate
-from singlerange.truthsim import ScenarioConfig, propagate_free, resolve_signal
+from singlerange.truthsim import ScenarioConfig, propagate_free
 
 
 def reference_sinusoid():
@@ -30,7 +30,7 @@ def free_scenario(x0, input_spec, ts, steps, seed=0):
 
 def noiseless_regression(cfg):
     trace = propagate_free(cfg)
-    ii = integrate(resolve_signal(cfg))
+    ii = integrate(cfg.input)
     return build_regression(trace, ii), ii, trace
 
 
@@ -61,8 +61,8 @@ class TestBuildRegression:
     def test_length_mismatch_rejected(self):
         cfg = free_scenario([1.0, 0.0, 0.0], reference_sinusoid(), 0.01, 50)
         trace = propagate_free(cfg)
-        short = integrate(resolve_signal(
-            free_scenario([1.0, 0.0, 0.0], reference_sinusoid(), 0.01, 49)))
+        short = integrate(free_scenario([1.0, 0.0, 0.0], reference_sinusoid(),
+                                        0.01, 49).input)
         with pytest.raises(ValueError, match="samples"):
             build_regression(trace, short)
 

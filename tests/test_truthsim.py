@@ -16,7 +16,6 @@ from singlerange.truthsim import (
     measure,
     propagate_current,
     propagate_free,
-    resolve_signal,
 )
 
 
@@ -26,6 +25,41 @@ def zero_input(ts, steps):
 
 def reference_sinusoid():
     return SinusoidInput.from_max_speed(0.5, np.array([1, 2, 3]), 0.01 * np.pi)
+
+
+class TestScenarioInput:
+    """A scenario samples its input once, at construction."""
+
+    def test_sampled_input_with_other_ts_rejected(self):
+        with pytest.raises(ValueError, match="does not match scenario ts"):
+            ScenarioConfig(x0=np.zeros(3), ts=0.1, steps=20,
+                           input=zero_input(0.2, 20))
+
+    def test_short_sampled_input_rejected(self):
+        with pytest.raises(ValueError, match="scenario needs 21"):
+            ScenarioConfig(x0=np.zeros(3), ts=0.1, steps=20,
+                           input=zero_input(0.1, 19))
+
+    def test_long_sampled_input_cut_to_grid(self):
+        samples = np.random.default_rng(0).normal(size=(31, 3))
+        cfg = ScenarioConfig(x0=np.zeros(3), ts=0.1, steps=20,
+                             input=SampledSignal(0.1, samples))
+        assert isinstance(cfg.input, SampledSignal)
+        assert cfg.input.ts == 0.1
+        assert np.array_equal(cfg.input.samples, samples[:21])
+
+    @pytest.mark.parametrize("fn", [literature_profile, reference_sinusoid()],
+                             ids=["literature", "sinusoid"])
+    def test_function_input_sampled_on_grid(self, fn):
+        cfg = ScenarioConfig(x0=np.zeros(3), ts=0.01, steps=500, input=fn)
+        expected = SampledSignal.from_function(fn, 0.01, 500)
+        assert cfg.input.ts == expected.ts
+        assert np.array_equal(cfg.input.samples, expected.samples)
+
+    def test_named_input_rejected(self):
+        with pytest.raises(TypeError, match="function of t, got str"):
+            ScenarioConfig(x0=np.zeros(3), ts=0.01, steps=5,
+                           input="literature")
 
 
 class TestPropagateFree:
@@ -74,7 +108,8 @@ class TestPropagateCurrent:
         ts = 1.0 / 750.0
         steps = int(round(4 * np.pi / ts))
         cfg = ScenarioConfig(x0=np.array([2.0, 2.0, 0.0]), ts=ts, steps=steps,
-                             input="literature", s=np.array([2.0, 3.0, 1.0]))
+                             input=literature_profile,
+                             s=np.array([2.0, 3.0, 1.0]))
         trace = propagate_current(cfg)
         t = trace.times
         closed = np.stack([2 + 2 * np.sin(t), 2 * np.cos(2 * t),
@@ -83,7 +118,8 @@ class TestPropagateCurrent:
 
     def test_position_recovered_from_beacon_vector(self):
         cfg = ScenarioConfig(x0=np.array([2.0, 2.0, 0.0]), ts=0.01, steps=100,
-                             input="literature", s=np.array([2.0, 3.0, 1.0]))
+                             input=literature_profile,
+                             s=np.array([2.0, 3.0, 1.0]))
         trace = propagate_current(cfg)
         assert np.allclose(trace.x, cfg.s - trace.r)
 
@@ -159,7 +195,7 @@ class TestDerivedIdentities:
         cfg = ScenarioConfig(x0=np.array([25.0, 25.0, 25.0]), ts=0.01,
                              steps=5000, input=reference_sinusoid())
         trace = propagate_free(cfg)
-        ii = integrate(resolve_signal(cfg)).values
+        ii = integrate(cfg.input).values
         ybar = 0.5 * (trace.y - trace.y[0] + np.einsum("ij,ij->i", ii, ii))
         direct = np.einsum("ij,ij->i", ii, trace.x)
         assert max_rel(ybar, direct) <= 1e-9
@@ -167,11 +203,11 @@ class TestDerivedIdentities:
     def test_current_output_identity(self):
         # y - y0 + ||I||^2 equals -2 I.r - 2(r0.v_f) t + ||v_f||^2 t^2
         cfg = ScenarioConfig(x0=np.array([2.0, 2.0, 0.0]), ts=1 / 750,
-                             steps=5000, input="literature",
+                             steps=5000, input=literature_profile,
                              s=np.array([2.0, 3.0, 1.0]),
                              v_f=np.array([0.1, -0.05, 0.02]))
         trace = propagate_current(cfg)
-        ii = integrate(resolve_signal(cfg)).values
+        ii = integrate(cfg.input).values
         t = trace.times
         lhs = trace.y - trace.y[0] + np.einsum("ij,ij->i", ii, ii)
         r0_vf = trace.r[0] @ cfg.v_f
@@ -181,11 +217,11 @@ class TestDerivedIdentities:
 
     def test_current_output_matches_state_row(self):
         cfg = ScenarioConfig(x0=np.array([2.0, 2.0, 0.0]), ts=0.01,
-                             steps=1000, input="literature",
+                             steps=1000, input=literature_profile,
                              s=np.array([2.0, 3.0, 1.0]),
                              v_f=np.array([0.05, 0.0, -0.04]))
         trace = propagate_current(cfg)
-        ii = integrate(resolve_signal(cfg)).values
+        ii = integrate(cfg.input).values
         z = truth_z(trace, cfg.v_f)
         t = trace.times
         ybar = trace.y - trace.y[0] + np.einsum("ij,ij->i", ii, ii)
